@@ -2,19 +2,20 @@
 
 GO ?= go
 
-.PHONY: all build test race bench figures examples vet fmt lint cover check chaos overload tournament clean
+.PHONY: all build test race bench figures examples vet fmt lint cover check perfbench chaos overload tournament clean
 
 all: check
 
 # check is the pre-merge gate: compile, full tests, vet/fmt, static
-# analysis, then the race detector over the concurrency-heavy packages
+# analysis, vet and tests of the nested perfbench module (which root
+# ./... skips), then the race detector over the concurrency-heavy packages
 # (pool, controller+arbiter, daemon), the cross-backend conformance
 # harness (twice: IR optimizer on, then off via SKANDIUM_OPT=off), the
 # stream lifecycle tests of the root package, the cluster chaos suite
 # (network faults, partitions, flaps), the virtual-time overload
 # harness (multi-tenant fairness invariants), and the seeded policy
 # tournament (adaptation policies raced across the scenario corpus).
-check: build test vet lint race chaos overload tournament
+check: build test vet lint perfbench race chaos overload tournament
 
 build:
 	$(GO) build ./...
@@ -72,6 +73,12 @@ examples:
 vet:
 	$(GO) vet ./...
 	gofmt -l .
+
+# perfbench vets and tests the job-path benchmark, a nested module that
+# imports internal packages: an internal API change that breaks it fails
+# here rather than only when the benchmark runs.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # lint runs staticcheck when it is installed (CI installs it; local
 # machines without it skip with a notice instead of failing check).

@@ -287,7 +287,7 @@ func BenchmarkAblationDecrease(b *testing.B) {
 	}{{"halve", core.DecreaseHalve}, {"none", core.DecreaseNone}, {"exact", core.DecreaseExact}} {
 		b.Run(tc.name, func(b *testing.B) {
 			spec := paperexp.Scenario1()
-			spec.Decrease = tc.pol
+			spec.Policy = core.PaperPolicy{Increase: core.IncreaseMinimal, Decrease: tc.pol}
 			var r *paperexp.Result
 			var err error
 			for i := 0; i < b.N; i++ {
@@ -312,7 +312,7 @@ func BenchmarkAblationIncrease(b *testing.B) {
 	}{{"optimal", core.IncreaseOptimal}, {"minimal", core.IncreaseMinimal}} {
 		b.Run(tc.name, func(b *testing.B) {
 			spec := paperexp.Scenario1()
-			spec.Increase = tc.pol
+			spec.Policy = core.PaperPolicy{Increase: tc.pol, Decrease: core.DecreaseHalve}
 			var r *paperexp.Result
 			var err error
 			for i := 0; i < b.N; i++ {
@@ -522,6 +522,32 @@ func BenchmarkEngineFanout(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(width), "tasks/op")
+		})
+	}
+}
+
+// BenchmarkPipeFusion records why both optimizers exist: a 4-stage seq
+// pipe run with plan fusion alone ("plan": the compiled program fuses the
+// serial chain but keeps one event pair per stage) and with tree fusion
+// on top ("tree": Optimize(prog, true) rewrites the pipe into one seq of
+// the composed muscle, so one coarser event pair and fewer allocs).
+func BenchmarkPipeFusion(b *testing.B) {
+	inc := NewExec("inc", func(n int) (int, error) { return n + 1, nil })
+	prog := PipeN(Seq(inc), Seq(inc), Seq(inc), Seq(inc))
+	for _, tc := range []struct {
+		name string
+		prog Skeleton[int, int]
+	}{{"plan", prog}, {"tree", Optimize(prog, true)}} {
+		b.Run(tc.name, func(b *testing.B) {
+			st := NewStream[int, int](tc.prog, WithLP(1))
+			defer st.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if res, err := st.Do(i); err != nil || res != i+4 {
+					b.Fatalf("res=%v err=%v", res, err)
+				}
+			}
 		})
 	}
 }

@@ -34,7 +34,6 @@ import (
 
 	"skandium"
 	"skandium/internal/journal"
-	"skandium/internal/plan"
 	"skandium/internal/remote"
 	"skandium/internal/server"
 )
@@ -68,7 +67,6 @@ func main() {
 	noDegrade := flag.Bool("no-degrade", false, "fail cluster jobs instead of draining remaining shards to the local pool")
 	localLP := flag.Int("degrade-lp", 0, "parallelism of the local degradation pool (0 = default 4)")
 	hedgeAfter := flag.Duration("hedge-after", 0, "re-enqueue a claimed task stalled this long so a second node races it (0 = off)")
-	opt := flag.Bool("opt", true, "run the IR optimizer on compiled plans (fusion, static specialization, pre-sizing)")
 	policyName := flag.String("policy", "", "default adaptation policy for jobs that do not pick one (see skandium.PolicyNames; empty = paper rule)")
 	flag.Parse()
 
@@ -76,10 +74,6 @@ func main() {
 		if _, err := skandium.NewPolicy(*policyName, 0); err != nil {
 			log.Fatalf("skelrund: %v", err)
 		}
-	}
-
-	if !*opt {
-		plan.SetOptimizeEnabled(false)
 	}
 
 	if *pprofAddr != "" {

@@ -3,7 +3,8 @@
 // centralized coordinator ships skeleton tasks to worker nodes over links
 // with configurable latency; when the WCT goal would be missed, the
 // controller provisions more nodes mid-run, and decommissions them when the
-// goal is safe.
+// goal is safe. The cluster is the simulator's multi-node mode, so the whole
+// run happens in deterministic virtual time.
 //
 //	go run ./examples/distributed -goal 80ms -maxnodes 8 -ship 200us
 package main
@@ -15,10 +16,10 @@ import (
 	"time"
 
 	"skandium/internal/core"
-	"skandium/internal/dist"
 	"skandium/internal/estimate"
 	"skandium/internal/event"
 	"skandium/internal/muscle"
+	"skandium/internal/sim"
 	"skandium/internal/skel"
 	"skandium/internal/statemachine"
 )
@@ -38,10 +39,7 @@ func main() {
 		}
 		return out, nil
 	})
-	fe := muscle.NewExecute("fe", func(p any) (any, error) {
-		time.Sleep(*work)
-		return 1, nil
-	})
+	fe := muscle.NewExecute("fe", func(p any) (any, error) { return 1, nil })
 	fm := muscle.NewMerge("fm", func(ps []any) (any, error) {
 		s := 0
 		for _, p := range ps {
@@ -54,36 +52,47 @@ func main() {
 	fmt.Println("program:", program)
 	fmt.Printf("cluster: 1 node initially, up to %d, ship latency %v each way\n", *maxNodes, *ship)
 
-	cluster := dist.New(dist.Config{Nodes: 1, MaxNodes: *maxNodes, ShipLatency: *ship})
-	defer cluster.Close()
-
+	// Only the execute muscle computes; every muscle, wherever it runs,
+	// pays the round trip to its node.
+	costs := sim.CostFunc(func(m *muscle.Muscle, _ any) time.Duration {
+		if m == fe {
+			return *work
+		}
+		return 0
+	})
+	nodes := make([]sim.NodeSpec, *maxNodes)
+	for i := range nodes {
+		nodes[i] = sim.NodeSpec{Threads: 1, Link: *ship}
+	}
 	reg := event.NewRegistry()
+	cluster := sim.NewEngine(sim.Config{Events: reg, Costs: costs, Nodes: nodes, LP: 1, MaxLP: *maxNodes})
+
 	est := estimate.NewRegistry(nil)
 	tracker := statemachine.NewTracker(est)
 	ctl := core.NewController(core.Config{
 		WCTGoal:          *goal,
 		MaxLP:            *maxNodes,
-		Increase:         core.IncreaseMinimal,
+		Policy:           core.PaperPolicy{Increase: core.IncreaseMinimal},
 		AnalysisInterval: 10 * time.Millisecond,
 		DecreaseHold:     15 * time.Millisecond,
-	}, program, cluster, est, tracker, nil)
+	}, program, cluster, est, tracker, cluster.Clock())
+	start := cluster.Now()
+	ctl.SetStart(start)
 	core.Attach(reg, tracker, ctl)
 
-	start := time.Now()
-	res, err := cluster.NewExecution(reg).Start(program, 0).Get()
-	elapsed := time.Since(start)
+	res, makespan, err := cluster.Run(program, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("result %v in %v (goal %v, 16 work items × %v sequential ≈ %v)\n",
-		res, elapsed.Round(time.Millisecond), *goal, *work, 16**work)
+	verdict := "met"
+	if makespan > *goal {
+		verdict = "MISSED"
+	}
+	fmt.Printf("result %v in %v virtual (goal %v %s; 16 work items × %v sequential = %v)\n",
+		res, makespan, *goal, verdict, *work, 16**work)
 	for _, d := range ctl.Decisions() {
 		fmt.Printf("  t=%-10v nodes %d -> %d  (%s)\n",
-			d.Time.Sub(start).Round(time.Millisecond), d.OldLP, d.NewLP, d.Reason)
-	}
-	fmt.Println("per-node accounting:")
-	for _, st := range cluster.Stats() {
-		fmt.Printf("  node %d: %3d tasks, busy %v\n", st.Node, st.Tasks, st.BusyTime.Round(time.Millisecond))
+			d.Time.Sub(start), d.OldLP, d.NewLP, d.Reason)
 	}
 }

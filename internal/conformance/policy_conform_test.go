@@ -122,11 +122,12 @@ func controlledRun(t *testing.T, tree *Tree, costs sim.CostModel,
 }
 
 // TestPaperPolicyDecisionsMatchLegacyOnCorpus drives the refactored paper
-// policy (the default Config path) and the pre-refactor decision logic (the
-// verbatim legacy oracle above, via Config.Policy) through the full 240-tree
-// conformance corpus and asserts the Decision sequences are byte-identical —
-// the guarantee PR 4/9 relied on, carried across the Policy refactor. Every
-// increase/decrease ablation pair is cycled across the corpus.
+// policy (a core.PaperPolicy literal) and the pre-refactor decision logic
+// (the verbatim legacy oracle above), both via Config.Policy, through the
+// full 240-tree conformance corpus and asserts the Decision sequences are
+// byte-identical — the guarantee PR 4/9 relied on, carried across the
+// Policy refactor. Every increase/decrease ablation pair is cycled across
+// the corpus.
 func TestPaperPolicyDecisionsMatchLegacyOnCorpus(t *testing.T) {
 	combos := []struct {
 		inc core.IncreasePolicy
@@ -162,7 +163,7 @@ func TestPaperPolicyDecisionsMatchLegacyOnCorpus(t *testing.T) {
 			}
 			combo := combos[int(seed)%len(combos)]
 			cfg := core.Config{WCTGoal: goal, MaxLP: 8,
-				Increase: combo.inc, Decrease: combo.dec}
+				Policy: core.PaperPolicy{Increase: combo.inc, Decrease: combo.dec}}
 			got := controlledRun(t, tree, costs, durs, cfg)
 
 			legacyCfg := cfg

@@ -29,37 +29,6 @@ type LPControl interface {
 	SetLP(n int)
 }
 
-// IncreasePolicy selects how a missed goal raises LP.
-type IncreasePolicy int
-
-// Increase policies.
-const (
-	// IncreaseOptimal is the paper's behaviour: jump to the optimal LP,
-	// i.e. the peak of the best-effort timeline ("Skandium will
-	// autonomically increase LP to 3").
-	IncreaseOptimal IncreasePolicy = iota
-	// IncreaseMinimal raises LP only to the smallest value whose
-	// limited-LP schedule meets the goal (ablation variant; the paper
-	// notes the exact problem is NP-complete).
-	IncreaseMinimal
-)
-
-// DecreasePolicy selects how a comfortably met goal lowers LP.
-type DecreasePolicy int
-
-// Decrease policies.
-const (
-	// DecreaseHalve is the paper's behaviour: "first checks if the goal
-	// could be targeted using half of threads; if it can, it decreases the
-	// number of threads to the half". Deliberately slower than increase.
-	DecreaseHalve DecreasePolicy = iota
-	// DecreaseNone never lowers LP (ablation variant).
-	DecreaseNone
-	// DecreaseExact lowers LP directly to the minimal value that still
-	// meets the goal (ablation variant).
-	DecreaseExact
-)
-
 // Config tunes a Controller.
 type Config struct {
 	// WCTGoal is the wall-clock-time QoS measured from execution start.
@@ -72,12 +41,8 @@ type Config struct {
 	// run. Zero analyses on every qualifying event (the paper's "react as
 	// soon as we detect" behaviour; fine for coarse muscles).
 	AnalysisInterval time.Duration
-	// Increase / Decrease select the paper rule's adaptation variants
-	// (paper defaults). Only consulted when Policy is nil.
-	Increase IncreasePolicy
-	Decrease DecreasePolicy
-	// Policy replaces the adaptation rule entirely (see Policy and
-	// NewPolicy). nil means the paper rule configured by Increase/Decrease.
+	// Policy is the adaptation rule (see Policy and NewPolicy). nil means
+	// the paper default, PaperPolicy{}.
 	// A stateful policy value must not be shared across concurrently
 	// executing controllers — callers fanning one configured value out to
 	// several controllers replicate it with ClonePolicy first.
@@ -515,7 +480,7 @@ func (c *Controller) Analyze(now time.Time) bool {
 	// implementation of the same contract the competitors use.
 	pol := cfg.Policy
 	if pol == nil {
-		pol = PaperPolicy{Increase: cfg.Increase, Decrease: cfg.Decrease}
+		pol = PaperPolicy{}
 	}
 	prop := pol.Observe(pred, Actuation{
 		CurLP: cur, MaxLP: cfg.MaxLP,

@@ -145,6 +145,38 @@ func (PaperContract) Contract(members []GrantView, deficit int) (int, int, bool)
 	return victim, half, true
 }
 
+// IncreasePolicy parameterizes how PaperPolicy raises LP on a missed goal.
+type IncreasePolicy int
+
+// Increase policies.
+const (
+	// IncreaseOptimal is the paper's behaviour: jump to the optimal LP,
+	// i.e. the peak of the best-effort timeline ("Skandium will
+	// autonomically increase LP to 3").
+	IncreaseOptimal IncreasePolicy = iota
+	// IncreaseMinimal raises LP only to the smallest value whose
+	// limited-LP schedule meets the goal (ablation variant; the paper
+	// notes the exact problem is NP-complete).
+	IncreaseMinimal
+)
+
+// DecreasePolicy parameterizes how PaperPolicy lowers LP on a comfortably
+// met goal.
+type DecreasePolicy int
+
+// Decrease policies.
+const (
+	// DecreaseHalve is the paper's behaviour: "first checks if the goal
+	// could be targeted using half of threads; if it can, it decreases the
+	// number of threads to the half". Deliberately slower than increase.
+	DecreaseHalve DecreasePolicy = iota
+	// DecreaseNone never lowers LP (ablation variant).
+	DecreaseNone
+	// DecreaseExact lowers LP directly to the minimal value that still
+	// meets the goal (ablation variant).
+	DecreaseExact
+)
+
 // PaperPolicy is the paper's §4 autonomic rule as a Policy: raise LP on a
 // predicted goal miss (to the optimal level, or minimally under
 // IncreaseMinimal), lower it conservatively when the goal survives with

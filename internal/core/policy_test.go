@@ -10,9 +10,10 @@ import (
 	"skandium/internal/clock"
 )
 
-// TestExplicitPaperPolicyMatchesDefault: Config{Policy: PaperPolicy{...}}
-// and the legacy Config{Increase, Decrease} selection drive the controller
-// to identical decision logs on the Fig. 1 snapshot.
+// TestExplicitPaperPolicyMatchesDefault: a nil Config.Policy and the
+// explicit PaperPolicy{} zero value drive the controller to identical
+// decision logs on the Fig. 1 snapshot, and so does every registered paper
+// variant against its PaperPolicy literal.
 func TestExplicitPaperPolicyMatchesDefault(t *testing.T) {
 	run := func(cfg Config) []Decision {
 		s := newFig1Setup()
@@ -24,20 +25,30 @@ func TestExplicitPaperPolicyMatchesDefault(t *testing.T) {
 		ctl.Analyze(clock.Epoch.Add(u(80)))
 		return ctl.Decisions()
 	}
+	if def, zero := run(Config{WCTGoal: u(100)}), run(Config{WCTGoal: u(100), Policy: PaperPolicy{}}); !reflect.DeepEqual(def, zero) {
+		t.Fatalf("nil policy and PaperPolicy{} diverge\nnil:           %v\nPaperPolicy{}: %v", def, zero)
+	}
 	for _, tc := range []struct {
-		inc IncreasePolicy
-		dec DecreasePolicy
+		name string
+		pol  PaperPolicy
 	}{
-		{IncreaseOptimal, DecreaseHalve},
-		{IncreaseMinimal, DecreaseHalve},
-		{IncreaseOptimal, DecreaseNone},
-		{IncreaseOptimal, DecreaseExact},
+		{"paper", PaperPolicy{Increase: IncreaseOptimal, Decrease: DecreaseHalve}},
+		{"paper-minimal", PaperPolicy{Increase: IncreaseMinimal, Decrease: DecreaseHalve}},
+		{"paper-nodecrease", PaperPolicy{Increase: IncreaseOptimal, Decrease: DecreaseNone}},
+		{"paper-exact", PaperPolicy{Increase: IncreaseOptimal, Decrease: DecreaseExact}},
 	} {
-		legacy := run(Config{WCTGoal: u(100), Increase: tc.inc, Decrease: tc.dec})
-		viaPolicy := run(Config{WCTGoal: u(100), Policy: PaperPolicy{Increase: tc.inc, Decrease: tc.dec}})
-		if !reflect.DeepEqual(legacy, viaPolicy) {
-			t.Fatalf("inc=%d dec=%d: decisions diverge\ndefault:   %v\nvia Policy: %v",
-				tc.inc, tc.dec, legacy, viaPolicy)
+		if got := tc.pol.Name(); got != tc.name {
+			t.Fatalf("%+v: Name() = %q, want %q", tc.pol, got, tc.name)
+		}
+		named, err := NewPolicy(tc.name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaName := run(Config{WCTGoal: u(100), Policy: named})
+		viaLiteral := run(Config{WCTGoal: u(100), Policy: tc.pol})
+		if !reflect.DeepEqual(viaName, viaLiteral) {
+			t.Fatalf("%s: decisions diverge\nby name:    %v\nby literal: %v",
+				tc.name, viaName, viaLiteral)
 		}
 	}
 }
@@ -53,7 +64,7 @@ func TestDecreaseHoldSequenceClamp(t *testing.T) {
 	s := newFig1Setup()
 	s.replayUntil70()
 	lever := &fakeLever{lp: 2}
-	ctl := NewController(Config{WCTGoal: u(100), Increase: IncreaseOptimal,
+	ctl := NewController(Config{WCTGoal: u(100), Policy: PaperPolicy{Increase: IncreaseOptimal},
 		DecreaseHold: u(50)},
 		s.outer, lever, s.est, s.tr, clock.NewVirtual(clock.Epoch))
 	ctl.SetStart(clock.Epoch)

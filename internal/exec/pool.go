@@ -25,10 +25,6 @@ var ErrPoolClosed = errors.New("exec: pool closed")
 // paper's Figs. 5-7.
 type GaugeFunc func(now time.Time, active, lp int)
 
-// runWrapFunc is the SetRunWrapper hook type (the distributed substrate
-// injects shipping latency and per-node accounting here).
-type runWrapFunc = func(workerID int, run func())
-
 // Pool is a task pool with a dynamically resizable level of parallelism
 // (LP). It is the autonomic lever of the paper: raising LP admits more
 // workers to execute tasks concurrently; lowering it parks surplus workers
@@ -59,7 +55,6 @@ type Pool struct {
 	busyNS   atomic.Int64
 
 	gauge  atomic.Pointer[GaugeFunc]
-	wrap   atomic.Pointer[runWrapFunc]
 	deques atomic.Pointer[[]*deque] // copy-on-write snapshot for stealing
 
 	// overflow is the shared FIFO of externally submitted (root-level)
@@ -143,16 +138,6 @@ func (p *Pool) SetGauge(g GaugeFunc) {
 		return
 	}
 	p.gauge.Store(&g)
-}
-
-// SetRunWrapper surrounds every task execution with w (nil = direct). The
-// wrapper must call run exactly once. Install before submitting work.
-func (p *Pool) SetRunWrapper(w func(workerID int, run func())) {
-	if w == nil {
-		p.wrap.Store(nil)
-		return
-	}
-	p.wrap.Store(&w)
 }
 
 // LP returns the current level-of-parallelism target. Lock-free.
@@ -434,11 +419,7 @@ func (p *Pool) workerLoop(w *worker) {
 		}
 		p.sample()
 		runStart := p.clk.Now()
-		if wf := p.wrap.Load(); wf != nil {
-			(*wf)(w.id, func() { p.run(w, t) })
-		} else {
-			p.run(w, t)
-		}
+		p.run(w, t)
 		p.busyNS.Add(int64(p.clk.Now().Sub(runStart)))
 		p.tasksRun.Add(1)
 		p.active.Add(-1)

@@ -138,7 +138,7 @@ func (r *Root) Start(node *skel.Node, param any) *Future {
 // StartProgram is Start for a pre-compiled program: the seam through which
 // every backend injects work. A remote/distributed backend ships (or
 // references) the compiled IR once per program instead of re-deriving
-// structure per task; internal/dist exercises it via Cluster.Compile.
+// structure per task; internal/remote workers run shipped programs here.
 func (r *Root) StartProgram(p *plan.Program, param any) *Future {
 	r.start = r.clk.Now()
 	t := newTask(r, nil, 0, param, instrFor(p.Root(), event.NoParent))

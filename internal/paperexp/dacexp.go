@@ -36,9 +36,10 @@ type DaCSpec struct {
 	InitialLP        int
 	Rho              float64
 	AnalysisInterval time.Duration
-	Increase         core.IncreasePolicy
-	Decrease         core.DecreasePolicy
-	Seed             int64
+	// Policy is the adaptation rule (nil = the paper default,
+	// core.PaperPolicy{}). A stateful policy must be fresh per run.
+	Policy core.Policy
+	Seed   int64
 }
 
 // Defaults fills zero fields: 16 leaves of 80 ms dominate ≈1.4 s of
@@ -165,8 +166,7 @@ func RunDaC(spec DaCSpec) (*DaCResult, error) {
 			WCTGoal:          spec.Goal,
 			MaxLP:            spec.MaxLP,
 			AnalysisInterval: spec.AnalysisInterval,
-			Increase:         spec.Increase,
-			Decrease:         spec.Decrease,
+			Policy:           spec.Policy,
 		}, program, eng, est, tracker, eng.Clock())
 		ctl.SetStart(eng.Now())
 		core.Attach(reg, tracker, ctl)

@@ -55,11 +55,8 @@ type Spec struct {
 	Seed   int64
 	// Rho is the estimator weight (0 = paper default 0.5).
 	Rho float64
-	// Increase/Decrease select controller policies.
-	Increase core.IncreasePolicy
-	Decrease core.DecreasePolicy
-	// Policy overrides the adaptation rule entirely (nil = the paper rule
-	// built from Increase/Decrease). A stateful policy must be fresh per run.
+	// Policy is the adaptation rule (nil = the paper default,
+	// core.PaperPolicy{}). A stateful policy must be fresh per run.
 	Policy core.Policy
 	// Predictor selects the WCT estimation algorithm (nil = ADG).
 	Predictor core.Predictor
@@ -116,17 +113,17 @@ func (s Spec) Defaults() Spec {
 
 // Scenario1 is Fig. 5: goal 9.5 s, no initialization.
 func Scenario1() Spec {
-	return Spec{Goal: 9500 * time.Millisecond, Increase: core.IncreaseMinimal, AnalysisInterval: 100 * time.Millisecond}.Defaults()
+	return Spec{Goal: 9500 * time.Millisecond, Policy: core.PaperPolicy{Increase: core.IncreaseMinimal}, AnalysisInterval: 100 * time.Millisecond}.Defaults()
 }
 
 // Scenario2 is Fig. 6: goal 9.5 s, with initialization.
 func Scenario2() Spec {
-	return Spec{Goal: 9500 * time.Millisecond, Init: true, Increase: core.IncreaseMinimal, AnalysisInterval: 100 * time.Millisecond}.Defaults()
+	return Spec{Goal: 9500 * time.Millisecond, Init: true, Policy: core.PaperPolicy{Increase: core.IncreaseMinimal}, AnalysisInterval: 100 * time.Millisecond}.Defaults()
 }
 
 // Scenario3 is Fig. 7: goal 10.5 s, no initialization.
 func Scenario3() Spec {
-	return Spec{Goal: 10500 * time.Millisecond, Increase: core.IncreaseMinimal, AnalysisInterval: 100 * time.Millisecond}.Defaults()
+	return Spec{Goal: 10500 * time.Millisecond, Policy: core.PaperPolicy{Increase: core.IncreaseMinimal}, AnalysisInterval: 100 * time.Millisecond}.Defaults()
 }
 
 // Result is the outcome of one run.
@@ -313,8 +310,6 @@ func (w *world) run(spec Spec, profile estimate.Profile) (*Result, error) {
 			WCTGoal:          spec.Goal,
 			MaxLP:            spec.MaxLP,
 			AnalysisInterval: spec.AnalysisInterval,
-			Increase:         spec.Increase,
-			Decrease:         spec.Decrease,
 			Policy:           spec.Policy,
 			Predictor:        spec.Predictor,
 		}, program, eng, est, tracker, eng.Clock())

@@ -44,9 +44,8 @@ import (
 )
 
 // optimizeOn gates the pipeline inside Of. Default on; SKANDIUM_OPT=off in
-// the environment (or SetOptimizeEnabled / the skelrund -opt flag /
-// skandium.WithOptimize) turns it off so the raw 1:1 lowering runs — CI
-// exercises the conformance suite both ways.
+// the environment (or SetOptimizeEnabled in tests) turns it off so the raw
+// 1:1 lowering runs — CI exercises the conformance suite both ways.
 var optimizeOn atomic.Bool
 
 func init() {

@@ -2,7 +2,7 @@
 // typed program IR that every engine walks instead of re-deriving structure
 // from the tree: the task-pool interpreter (internal/exec), the
 // discrete-event simulator (internal/sim), the ADG builder and analytic
-// estimators (internal/adg), and the simulated cluster (internal/dist).
+// estimators (internal/adg), and the remote workers (internal/remote).
 //
 // One compile, many walkers. The paper's WCT guarantee only holds if the
 // controller's predictions (simulator, ADG) describe the same computation

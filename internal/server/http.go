@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"net/http/pprof"
 	"reflect"
 	"sort"
 	"strconv"
@@ -29,7 +28,9 @@ import (
 //	PATCH  /jobs/{id}/qos             adjust WCT goal / max LP at runtime
 //	DELETE /jobs/{id}                 cancel a job
 //	GET    /arbiter                   budget, grants and grant decisions
-//	GET    /debug/pprof/...           runtime profiling
+//
+// Profiling is not part of the API: skelrund serves net/http/pprof only on
+// its separate, opt-in -pprof listener.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -45,11 +46,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /jobs/{id}/qos", s.handleQoS) // curl-friendly alias
 	mux.HandleFunc("DELETE /jobs/{id}", s.handleCancel)
 	mux.HandleFunc("GET /arbiter", s.handleArbiter)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 

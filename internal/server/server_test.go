@@ -327,6 +327,22 @@ func TestServerQoSAndCancel(t *testing.T) {
 	}
 }
 
+// TestHandlerServesNoPprof: the job API never exposes runtime profiling;
+// pprof lives only on skelrund's opt-in -pprof listener.
+func TestHandlerServesNoPprof(t *testing.T) {
+	_, ts := newTestDaemon(t, Config{Budget: 1})
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/profile"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s: status %d, want 404", path, resp.StatusCode)
+		}
+	}
+}
+
 // TestServerDrain: draining refuses new submissions with 503 while letting
 // running jobs finish; a deadline cancels stragglers.
 func TestServerDrain(t *testing.T) {

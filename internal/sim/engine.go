@@ -53,8 +53,8 @@ type Config struct {
 	// Nodes switches the engine into multi-node mode: the machine park of
 	// a simulated cluster. Node i contributes Threads virtual workers, and
 	// every muscle scheduled on it pays an extra 2×Link of virtual time
-	// (the parameter shipped there and the result shipped back, matching
-	// the per-task round trip of internal/dist). With Nodes set, the LP
+	// (the parameter shipped there and the result shipped back: a
+	// centralized coordinator's per-task round trip). With Nodes set, the LP
 	// lever provisions nodes: SetLP(n) enables the first n nodes, so the
 	// unchanged WCT controller scales a simulated cluster in virtual time
 	// exactly like it scales a thread pool.

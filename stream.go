@@ -13,7 +13,6 @@ import (
 	"skandium/internal/estimate"
 	"skandium/internal/event"
 	"skandium/internal/exec"
-	"skandium/internal/plan"
 	"skandium/internal/skel"
 	"skandium/internal/statemachine"
 )
@@ -46,22 +45,6 @@ func NewPolicy(name string, seed int64) (Policy, error) { return core.NewPolicy(
 // PolicyNames lists the registered adaptation policies.
 func PolicyNames() []string { return core.Policies() }
 
-// Increase/decrease policy re-exports for WithPolicies.
-const (
-	// IncreaseOptimal jumps to the optimal LP (peak of the best-effort
-	// timeline) when the goal would be missed — the paper's §4 behaviour.
-	IncreaseOptimal = core.IncreaseOptimal
-	// IncreaseMinimal raises LP to the smallest sufficient value.
-	IncreaseMinimal = core.IncreaseMinimal
-	// DecreaseHalve halves LP when the goal is met with half the threads —
-	// the paper's behaviour.
-	DecreaseHalve = core.DecreaseHalve
-	// DecreaseNone never lowers LP.
-	DecreaseNone = core.DecreaseNone
-	// DecreaseExact lowers LP to the smallest sufficient value.
-	DecreaseExact = core.DecreaseExact
-)
-
 type config struct {
 	lp               int
 	maxLP            int
@@ -71,8 +54,6 @@ type config struct {
 	analysisInterval time.Duration
 	analysisTicker   time.Duration
 	decreaseHold     time.Duration
-	increase         core.IncreasePolicy
-	decrease         core.DecreasePolicy
 	policy           core.Policy
 	predictor        core.Predictor
 	adgBudget        int
@@ -83,7 +64,6 @@ type config struct {
 	faultTimeout     time.Duration
 	faultRetry       exec.RetryPolicy
 	faultPartial     exec.PartialPolicy
-	noOptimize       bool
 }
 
 type listenerEntry struct {
@@ -146,15 +126,9 @@ func WithDecreaseHold(d time.Duration) Option {
 	return func(c *config) { c.decreaseHold = d }
 }
 
-// WithPolicies selects the controller's increase/decrease policies
-// (defaults: IncreaseOptimal, DecreaseHalve — the paper's).
-func WithPolicies(inc core.IncreasePolicy, dec core.DecreasePolicy) Option {
-	return func(c *config) { c.increase = inc; c.decrease = dec }
-}
-
-// WithPolicy installs a full adaptation Policy, overriding the paper rule
-// (and the WithPolicies increase/decrease selectors). Use NewPolicy to
-// build one by registry name.
+// WithPolicy installs the adaptation Policy (default: the paper rule). Use
+// NewPolicy to build one by registry name ("paper-minimal",
+// "paper-nodecrease", …; see PolicyNames).
 //
 // Each Input drives its controller with an independent instance: stateful
 // policies implementing PolicyCloner (the built-ins hillclimb and bandit
@@ -196,15 +170,6 @@ func WithGauge(g func(now time.Time, active, lp int)) Option {
 // muscle identity, so the seeding run must share the muscle handles.
 func WithProfile(p estimate.Profile) Option { return func(c *config) { c.profile = p } }
 
-// WithOptimize toggles the IR optimizer for this stream's inputs (default
-// on). When off, every input runs the raw 1:1 compiled program, bypassing
-// the node's (optimized) plan cache — useful for debugging optimizer passes
-// and for differential testing; the optimizer is observation-equivalent, so
-// results, events and estimates are identical either way. The controller's
-// predictions always use the cached program: they are numerically the same
-// on both.
-func WithOptimize(on bool) Option { return func(c *config) { c.noOptimize = !on } }
-
 // WithListener registers an event listener for all subsequent inputs. The
 // optional filter narrows delivery.
 func WithListener(l event.Listener, filter ...event.Filter) Option {
@@ -233,11 +198,6 @@ type Stream[P, R any] struct {
 	closed   bool
 	inFlight []<-chan struct{}
 	live     []*exec.Root // unresolved executions, canceled on Close
-
-	// Raw (unoptimized) program, compiled once when WithOptimize(false).
-	rawOnce sync.Once
-	rawProg *plan.Program
-	rawErr  error
 }
 
 // NewStream builds an execution stream for a skeleton program.
@@ -295,8 +255,6 @@ func (st *Stream[P, R]) Input(p P) *Execution[R] {
 			MaxLP:            st.cfg.maxLP,
 			AnalysisInterval: st.cfg.analysisInterval,
 			DecreaseHold:     st.cfg.decreaseHold,
-			Increase:         st.cfg.increase,
-			Decrease:         st.cfg.decrease,
 			Policy:           core.ClonePolicy(st.cfg.policy),
 			Predictor:        st.cfg.predictor,
 			ADGBudget:        st.cfg.adgBudget,
@@ -313,18 +271,7 @@ func (st *Stream[P, R]) Input(p P) *Execution[R] {
 		Partial:  st.cfg.faultPartial,
 		Counters: st.ctrs,
 	})
-	var fut *exec.Future
-	if st.cfg.noOptimize {
-		prog, errp := st.rawProgram()
-		if errp != nil {
-			root.Cancel(errp)
-			fut = root.Future()
-		} else {
-			fut = root.StartProgram(prog, p)
-		}
-	} else {
-		fut = root.Start(st.node, p)
-	}
+	fut := root.Start(st.node, p)
 	if ctl != nil && st.cfg.analysisTicker > 0 {
 		stop := ctl.StartTicker(st.cfg.analysisTicker)
 		go func() {
@@ -345,12 +292,6 @@ func (st *Stream[P, R]) Input(p P) *Execution[R] {
 	}
 	st.live = append(kept, root)
 	return ex
-}
-
-// rawProgram compiles the stream's node without the optimizer, once.
-func (st *Stream[P, R]) rawProgram() (*plan.Program, error) {
-	st.rawOnce.Do(func() { st.rawProg, st.rawErr = plan.Compile(st.node) })
-	return st.rawProg, st.rawErr
 }
 
 // Drain blocks until every execution injected so far has resolved, or ctx

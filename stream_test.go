@@ -308,13 +308,17 @@ func TestDrainContextCancel(t *testing.T) {
 // explicit policies, farm wrapper, and the execution accessors.
 func TestRemainingOptionCoverage(t *testing.T) {
 	prog := Farm(nestedSleepProgram(3, 2*time.Millisecond))
+	pol, err := NewPolicy("paper-minimal", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	st := NewStream[int, int](prog,
 		WithLP(1),
 		WithMaxLP(8),
 		WithWCTGoal(40*time.Millisecond),
 		WithAnalysisInterval(time.Millisecond),
 		WithDecreaseHold(10*time.Millisecond),
-		WithPolicies(IncreaseMinimal, DecreaseHalve),
+		WithPolicy(pol),
 		WithClock(nil2clock()),
 	)
 	defer st.Close()
@@ -435,30 +439,5 @@ func TestAnalysisTickerCatchesStraggler(t *testing.T) {
 	}
 	if len(ex.Decisions()) == 0 {
 		t.Fatal("ticker-driven controller never adapted")
-	}
-}
-
-// TestWithOptimizeOff: a stream with the optimizer disabled runs every
-// input through the raw 1:1 compiled program (no annotations) and still
-// computes identical results; the node's cached (optimized) plan is left
-// untouched for other streams of the same skeleton.
-func TestWithOptimizeOff(t *testing.T) {
-	prog := nestedSleepProgram(3, time.Millisecond)
-
-	raw := NewStream[int, int](prog, WithLP(2), WithOptimize(false))
-	defer raw.Close()
-	opt := NewStream[int, int](prog, WithLP(2))
-	defer opt.Close()
-
-	const jobs = 3
-	for i := 0; i < jobs; i++ {
-		r1, err1 := raw.Input(i).Get()
-		r2, err2 := opt.Input(i).Get()
-		if err1 != nil || err2 != nil {
-			t.Fatalf("job %d: raw err %v, optimized err %v", i, err1, err2)
-		}
-		if r1 != r2 || r1 != 9 {
-			t.Fatalf("job %d: raw %d, optimized %d, want 9", i, r1, r2)
-		}
 	}
 }
