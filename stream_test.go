@@ -9,6 +9,7 @@ import (
 
 	"skandium/internal/estimate"
 	"skandium/internal/exec"
+	"skandium/internal/plan"
 )
 
 // nestedSleepProgram is the two-level shared-muscle shape with sleep
@@ -439,5 +440,43 @@ func TestAnalysisTickerCatchesStraggler(t *testing.T) {
 	}
 	if len(ex.Decisions()) == 0 {
 		t.Fatal("ticker-driven controller never adapted")
+	}
+}
+
+// TestWithOptimizeOff: a stream whose program was compiled with the
+// optimizer switched off (SKANDIUM_OPT=off, or plan.SetOptimizeEnabled)
+// runs every input through the raw 1:1 program (no annotations) and still
+// computes the same results as an optimized stream of the same shape.
+func TestWithOptimizeOff(t *testing.T) {
+	plan.SetOptimizeEnabled(false)
+	raw := NewStream[int, int](nestedSleepProgram(3, time.Millisecond), WithLP(2))
+	defer raw.Close()
+	r0, err := raw.Input(0).Get() // compiles and caches the raw program
+	plan.SetOptimizeEnabled(true)
+	if err != nil || r0 != 9 {
+		t.Fatalf("raw job 0: %d, %v; want 9", r0, err)
+	}
+	p, err := plan.Of(raw.node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range p.Steps() {
+		if s.Fused() != nil || s.Analytic() != nil || s.CardHint() != nil {
+			t.Fatal("stream ran an optimized program with the optimizer off")
+		}
+	}
+
+	opt := NewStream[int, int](nestedSleepProgram(3, time.Millisecond), WithLP(2))
+	defer opt.Close()
+	const jobs = 3
+	for i := 0; i < jobs; i++ {
+		r1, err1 := raw.Input(i).Get()
+		r2, err2 := opt.Input(i).Get()
+		if err1 != nil || err2 != nil {
+			t.Fatalf("job %d: raw err %v, optimized err %v", i, err1, err2)
+		}
+		if r1 != r2 || r1 != 9 {
+			t.Fatalf("job %d: raw %d, optimized %d, want 9", i, r1, r2)
+		}
 	}
 }
