@@ -24,7 +24,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/exec ./internal/event ./internal/sim ./internal/core ./internal/server ./internal/chaos ./internal/journal ./internal/plan ./internal/conformance ./internal/remote ./internal/tournament
+	$(GO) test -race ./internal/exec ./internal/event ./internal/metrics ./internal/sim ./internal/core ./internal/server ./internal/chaos ./internal/journal ./internal/plan ./internal/conformance ./internal/remote ./internal/tournament
 	SKANDIUM_OPT=off $(GO) test -race -count=1 ./internal/conformance
 	$(GO) test -race -run 'TestClose|TestDrain|TestStream|TestChaos|TestWithRetry|TestWCTGoal' .
 

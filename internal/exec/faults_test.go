@@ -282,6 +282,34 @@ func TestBackoffVirtualClockAndJitterDeterminism(t *testing.T) {
 	}
 }
 
+// TestRootWithoutJitterAllocatesNoRand: the retry-jitter source (about
+// 5 KiB) is created on first use, so a root whose retry policy has no
+// jitter allocates none — not at NewRoot, not at SetFaults, not on a
+// backoff. Only a jittered backoff pays for it, once.
+func TestRootWithoutJitterAllocatesNoRand(t *testing.T) {
+	pool := NewPool(clock.System, 1, 0)
+	defer pool.Close()
+	reg := event.NewRegistry()
+	run := func(jitter float64) float64 {
+		cfg := FaultConfig{Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, Jitter: jitter}}
+		return testing.AllocsPerRun(100, func() {
+			r := NewRoot(pool, reg, clock.System)
+			r.SetFaults(cfg)
+			r.backoff(1)
+			r.backoff(2)
+		})
+	}
+	plain, jittered := run(0), run(0.5)
+	// The root itself is four allocations: Root, its FaultCounters, its
+	// Future and the Future's done channel.
+	if plain > 4 {
+		t.Fatalf("root without jitter: %v allocs, want <= 4 (no rand source)", plain)
+	}
+	if jittered < plain+2 {
+		t.Fatalf("jittered root: %v allocs vs %v plain, want the rand source (>= 2 allocs) on top", jittered, plain)
+	}
+}
+
 func TestBadOpFailsRootCleanly(t *testing.T) {
 	in := badOpInst{op: plan.Op(255)}
 	_, err := in.interpret(nil, nil)

@@ -30,7 +30,8 @@ type Root struct {
 	start    time.Time
 
 	// Fault tolerance: the policy envelope (immutable after Start), the
-	// jitter source it draws from, and the branch failures absorbed by
+	// jitter source it draws from (created on first use: only a backoff
+	// with Jitter > 0 reads it), and the branch failures absorbed by
 	// partial-failure policies.
 	faults      FaultConfig
 	ctrs        *FaultCounters
@@ -54,7 +55,6 @@ func NewRoot(pool *Pool, events *event.Registry, clk clock.Clock) *Root {
 	}
 	r := &Root{pool: pool, events: events, clk: clk, future: NewFuture()}
 	r.ctrs = &FaultCounters{}
-	r.rng = rand.New(rand.NewSource(1))
 	return r
 }
 
@@ -66,11 +66,21 @@ func (r *Root) SetFaults(cfg FaultConfig) {
 	if cfg.Counters != nil {
 		r.ctrs = cfg.Counters
 	}
-	seed := cfg.Retry.Seed
-	if seed == 0 {
-		seed = 1
+}
+
+// jitter draws the next retry-jitter variate in [0, 1), seeding the source
+// from the retry policy (1 when unset) on first use.
+func (r *Root) jitter() float64 {
+	r.rngMu.Lock()
+	defer r.rngMu.Unlock()
+	if r.rng == nil {
+		seed := r.faults.Retry.Seed
+		if seed == 0 {
+			seed = 1
+		}
+		r.rng = rand.New(rand.NewSource(seed))
 	}
-	r.rng = rand.New(rand.NewSource(seed))
+	return r.rng.Float64()
 }
 
 // Faults returns the fault-tolerance policy in force.

@@ -1,6 +1,6 @@
 // Package metrics records execution telemetry: the "number of active
 // threads vs wall-clock time" series plotted in the paper's Figs. 5-7, plus
-// summary statistics (peak LP, adaptation instants, makespan). The recorder
+// summary statistics (peak LP and active threads). The recorder
 // plugs into either substrate through the pool/engine gauge hook.
 package metrics
 
@@ -10,8 +10,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"skandium/internal/event"
 )
 
 // Sample is one gauge observation.
@@ -28,8 +26,6 @@ type Recorder struct {
 	start   time.Time
 	started bool
 	samples []Sample
-	retries uint64
-	faults  uint64
 }
 
 // NewRecorder returns an empty recorder. The first sample anchors t=0
@@ -53,32 +49,6 @@ func (r *Recorder) Gauge(now time.Time, active, lp int) {
 	r.mu.Unlock()
 }
 
-// FaultListener returns an event listener tallying retry and terminal-fault
-// events into the recorder — the telemetry face of the fault-tolerance
-// layer. Install it next to the gauge hook.
-func (r *Recorder) FaultListener() event.Listener {
-	return event.Func(func(e *event.Event) any {
-		switch e.Where {
-		case event.Retry:
-			r.mu.Lock()
-			r.retries++
-			r.mu.Unlock()
-		case event.Fault:
-			r.mu.Lock()
-			r.faults++
-			r.mu.Unlock()
-		}
-		return e.Param
-	})
-}
-
-// FaultCounts returns the retry and terminal-fault events observed so far.
-func (r *Recorder) FaultCounts() (retries, faults uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.retries, r.faults
-}
-
 // Samples returns a copy of the raw observations in time order.
 func (r *Recorder) Samples() []Sample {
 	r.mu.Lock()
@@ -86,18 +56,6 @@ func (r *Recorder) Samples() []Sample {
 	out := append([]Sample(nil), r.samples...)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].T.Before(out[j].T) })
 	return out
-}
-
-// Last returns the most recent observation, if any.
-func (r *Recorder) Last() (Sample, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.samples) == 0 {
-		return Sample{}, false
-	}
-	// Samples arrive roughly time-ordered; the append order's tail is the
-	// freshest observation for gauge-style consumers.
-	return r.samples[len(r.samples)-1], true
 }
 
 // Point is one (time, value) pair of an exported series, time in units.
@@ -158,22 +116,6 @@ func (r *Recorder) PeakLP() int {
 		}
 	}
 	return peak
-}
-
-// FirstLPAbove returns the instant (since start) the LP target first
-// exceeded n, and whether it ever did.
-func (r *Recorder) FirstLPAbove(n int) (time.Duration, bool) {
-	r.mu.Lock()
-	start := r.start
-	samples := append([]Sample(nil), r.samples...)
-	r.mu.Unlock()
-	sort.SliceStable(samples, func(i, j int) bool { return samples[i].T.Before(samples[j].T) })
-	for _, s := range samples {
-		if s.LP > n {
-			return s.T.Sub(start), true
-		}
-	}
-	return 0, false
 }
 
 // CSV renders the active-thread series as "t,active" lines, time in unit.

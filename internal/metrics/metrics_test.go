@@ -48,20 +48,6 @@ func TestRecorderPeaks(t *testing.T) {
 	}
 }
 
-func TestFirstLPAbove(t *testing.T) {
-	r := NewRecorder()
-	r.SetStart(at(0))
-	r.Gauge(at(0), 1, 1)
-	r.Gauge(at(42), 1, 6)
-	d, ok := r.FirstLPAbove(1)
-	if !ok || d != 42*time.Millisecond {
-		t.Fatalf("FirstLPAbove = %v/%v", d, ok)
-	}
-	if _, ok := r.FirstLPAbove(10); ok {
-		t.Fatal("LP never exceeded 10")
-	}
-}
-
 func TestSamplesSortedEvenIfLate(t *testing.T) {
 	r := NewRecorder()
 	r.SetStart(at(0))

@@ -7,7 +7,21 @@ import (
 
 	"skandium/internal/clock"
 	"skandium/internal/core"
-	"skandium/internal/metrics"
+)
+
+// Canonical shed reasons (admission-control rejections) so dashboards can
+// rely on stable label values.
+const (
+	shedQueueFull  = "queue-full"
+	shedInfeasible = "goal-infeasible"
+	shedDraining   = "draining"
+	// shedPressure is the weighted probabilistic shed on the ladder's
+	// middle rung: the queue is filling and the submission drew an unlucky
+	// (weight-biased) lot before the hard queue-full wall.
+	shedPressure = "queue-pressure"
+	// shedBrownout marks optional work refused while the server is browned
+	// out — sustained overload detected, only guaranteed traffic admitted.
+	shedBrownout = "brownout"
 )
 
 // admissionConfig tunes the multi-tenant admission ladder.
@@ -45,7 +59,7 @@ type verdict struct {
 	// unconditional. Such submissions are never shed — the invariant the
 	// overload harness asserts.
 	guaranteed bool
-	reason     string // shed reason (metrics.Shed*) when !admit
+	reason     string // shed reason (shed* constant) when !admit
 	queued     int    // total queue depth at decision time
 	retryAfter time.Duration
 }
@@ -104,6 +118,9 @@ type admission struct {
 
 	completions [drainCap]time.Time
 	chead, clen int
+
+	sheds       map[string]uint64            // reason → count
+	tenantSheds map[string]map[string]uint64 // tenant → reason → count
 }
 
 func newAdmission(cfg admissionConfig) *admission {
@@ -126,10 +143,12 @@ func newAdmission(cfg admissionConfig) *admission {
 		cfg.Clock = clock.System
 	}
 	a := &admission{
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		weights: map[string]int{},
-		queued:  map[string]int{},
+		cfg:         cfg,
+		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		weights:     map[string]int{},
+		queued:      map[string]int{},
+		sheds:       map[string]uint64{},
+		tenantSheds: map[string]map[string]uint64{},
 	}
 	for t, w := range cfg.Tenants {
 		if w < 1 {
@@ -193,16 +212,17 @@ func (a *admission) decideLocked(tenant string, priority int, now time.Time) ver
 	// Over quota or low priority: this is optional work, the shed ladder
 	// applies.
 	shed := func(reason string) verdict {
+		a.countShedLocked(tenant, reason)
 		return verdict{
 			reason: reason, queued: a.queuedTotal,
 			retryAfter: a.retryAfterLocked(now),
 		}
 	}
 	if a.queuedTotal >= a.cfg.QueueMax {
-		return shed(metrics.ShedQueueFull)
+		return shed(shedQueueFull)
 	}
 	if a.brownedOut {
-		return shed(metrics.ShedBrownout)
+		return shed(shedBrownout)
 	}
 	fill := float64(a.queuedTotal) / float64(a.cfg.QueueMax)
 	var pshed float64
@@ -215,7 +235,7 @@ func (a *admission) decideLocked(tenant string, priority int, now time.Time) ver
 		pshed = fill * fill / float64(w)
 	}
 	if pshed > 0 && a.rng.Float64() < pshed {
-		return shed(metrics.ShedPressure)
+		return shed(shedPressure)
 	}
 	a.queued[tenant]++
 	a.queuedTotal++
@@ -235,6 +255,24 @@ func (a *admission) entitled(tenant string, priority int) bool {
 		return true
 	}
 	return a.queued[tenant] < a.quotaLocked(a.weightLocked(tenant))
+}
+
+// shed counts one submission refused outside the ladder (infeasible goal,
+// draining) under its reason and tenant.
+func (a *admission) shed(tenant, reason string) {
+	a.mu.Lock()
+	a.countShedLocked(tenant, reason)
+	a.mu.Unlock()
+}
+
+func (a *admission) countShedLocked(tenant, reason string) {
+	a.sheds[reason]++
+	ts := a.tenantSheds[tenant]
+	if ts == nil {
+		ts = map[string]uint64{}
+		a.tenantSheds[tenant] = ts
+	}
+	ts[reason]++
 }
 
 // started releases a tenant's queue slot: the job moved from the wait
@@ -381,17 +419,33 @@ type admissionStats struct {
 	Queued     map[string]int
 	Quotas     map[string]int
 	Weights    map[string]int
+	// Sheds counts refused submissions by reason, TenantSheds by tenant and
+	// reason. Both are copies.
+	Sheds       map[string]uint64
+	TenantSheds map[string]map[string]uint64
 }
 
 func (a *admission) stats() admissionStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	st := admissionStats{
-		BrownedOut: a.brownedOut,
-		Brownouts:  a.brownouts,
-		Queued:     make(map[string]int, len(a.weights)),
-		Quotas:     make(map[string]int, len(a.weights)),
-		Weights:    make(map[string]int, len(a.weights)),
+		BrownedOut:  a.brownedOut,
+		Brownouts:   a.brownouts,
+		Queued:      make(map[string]int, len(a.weights)),
+		Quotas:      make(map[string]int, len(a.weights)),
+		Weights:     make(map[string]int, len(a.weights)),
+		Sheds:       make(map[string]uint64, len(a.sheds)),
+		TenantSheds: make(map[string]map[string]uint64, len(a.tenantSheds)),
+	}
+	for r, n := range a.sheds {
+		st.Sheds[r] = n
+	}
+	for t, ts := range a.tenantSheds {
+		m := make(map[string]uint64, len(ts))
+		for r, n := range ts {
+			m[r] = n
+		}
+		st.TenantSheds[t] = m
 	}
 	for t, w := range a.weights {
 		st.Weights[t] = w

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"skandium/internal/clock"
-	"skandium/internal/metrics"
 )
 
 // newTestAdmission builds an admission ladder on a virtual clock with the
@@ -89,8 +88,8 @@ func TestAdmissionHardShed(t *testing.T) {
 	if v.admit {
 		t.Fatalf("queue at max: even high priority must shed")
 	}
-	if v.reason != metrics.ShedQueueFull {
-		t.Fatalf("reason = %q, want %q", v.reason, metrics.ShedQueueFull)
+	if v.reason != shedQueueFull {
+		t.Fatalf("reason = %q, want %q", v.reason, shedQueueFull)
 	}
 	if v.retryAfter < time.Second || v.retryAfter > 60*time.Second {
 		t.Fatalf("retryAfter %v outside [1s, 60s]", v.retryAfter)
@@ -121,7 +120,7 @@ func TestAdmissionPriorityShedding(t *testing.T) {
 				a.enqueued("probe")
 			}
 			if v := a.decide("probe", priority); !v.admit {
-				if v.reason != metrics.ShedPressure {
+				if v.reason != shedPressure {
 					t.Fatalf("unexpected shed reason %q", v.reason)
 				}
 				sheds++
@@ -185,7 +184,7 @@ func TestAdmissionBrownoutHysteresis(t *testing.T) {
 	// While browned out, optional work sheds deterministically with the
 	// brownout reason.
 	a.started("alpha") // make room below the hard wall
-	if v := a.decide("beta", -1); v.admit || v.reason != metrics.ShedBrownout {
+	if v := a.decide("beta", -1); v.admit || v.reason != shedBrownout {
 		t.Fatalf("optional work during brownout: admit=%v reason=%q", v.admit, v.reason)
 	}
 	// Drain below LowWater (0.25 of 12 = 3).

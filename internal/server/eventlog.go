@@ -30,7 +30,7 @@ type eventRecord struct {
 }
 
 // eventLog is a bounded ring of a job's events with follow support: the
-// listener appends from worker goroutines (it must stay cheap — no JSON
+// job's listener appends from worker goroutines (it must stay cheap — no JSON
 // here), NDJSON handlers snapshot and wait for growth.
 type eventLog struct {
 	mu      sync.Mutex
@@ -50,28 +50,25 @@ func newEventLog(capacity int, start time.Time) *eventLog {
 	return &eventLog{start: start, cap: capacity, changed: make(chan struct{})}
 }
 
-// listener adapts the log to the stream's event hook.
-func (l *eventLog) listener() event.Listener {
-	return event.Func(func(e *event.Event) any {
-		rec := eventRecord{
-			TMS:    float64(e.Time.Sub(l.start)) / float64(time.Millisecond),
-			Ev:     e.String(),
-			Kind:   e.Node.Kind().String(),
-			When:   e.When.String(),
-			Where:  e.Where.String(),
-			Index:  e.Index,
-			Parent: e.Parent,
-			Card:   e.Card,
-			Branch: e.Branch,
-			Iter:   e.Iter,
-			Worker: e.Worker,
-		}
-		if e.Err != nil {
-			rec.Err = e.Err.Error()
-		}
-		l.append(rec)
-		return e.Param
-	})
+// record renders one stream event into the ring.
+func (l *eventLog) record(e *event.Event) {
+	rec := eventRecord{
+		TMS:    float64(e.Time.Sub(l.start)) / float64(time.Millisecond),
+		Ev:     e.String(),
+		Kind:   e.Node.Kind().String(),
+		When:   e.When.String(),
+		Where:  e.Where.String(),
+		Index:  e.Index,
+		Parent: e.Parent,
+		Card:   e.Card,
+		Branch: e.Branch,
+		Iter:   e.Iter,
+		Worker: e.Worker,
+	}
+	if e.Err != nil {
+		rec.Err = e.Err.Error()
+	}
+	l.append(rec)
 }
 
 func (l *eventLog) append(rec eventRecord) {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"skandium"
+	"skandium/internal/exec"
 )
 
 // Handler returns the daemon's HTTP API:
@@ -79,10 +80,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if n := s.RecoveredJobs(); n > 0 {
 		body["recovered"] = n
 	}
-	if sheds := s.fleet.Sheds(); len(sheds) > 0 {
-		body["shed"] = sheds
-	}
 	ast := s.adm.stats()
+	if len(ast.Sheds) > 0 {
+		body["shed"] = ast.Sheds
+	}
 	adm := map[string]any{
 		"browned_out": ast.BrownedOut,
 		"brownouts":   ast.Brownouts,
@@ -313,60 +314,54 @@ func (s *Server) fleetStart() time.Time {
 }
 
 func (s *Server) jobView(j *job) jobView {
-	state, grant, h, started, finished, result, jerr := j.snapshot()
+	snap := j.snapshot()
 	v := jobView{
 		ID:         j.id,
 		Skeleton:   j.skeleton,
 		Program:    j.program,
 		Params:     j.params,
-		State:      string(state),
+		State:      string(snap.state),
 		Tenant:     j.tenant,
 		Priority:   j.priority,
 		GoalMS:     float64(j.goal) / float64(time.Millisecond),
 		MaxLP:      j.maxLP,
 		Policy:     j.policy,
-		Grant:      grant,
+		Grant:      snap.grant,
 		Events:     j.log.len(),
 		CreatedMS:  s.sinceStart(j.created),
-		StartedMS:  s.sinceStart(started),
-		FinishedMS: s.sinceStart(finished),
+		StartedMS:  s.sinceStart(snap.started),
+		FinishedMS: s.sinceStart(snap.finished),
 	}
 	v.TimeoutMS = float64(j.timeout) / float64(time.Millisecond)
 	v.RetryAttempts = j.retry.MaxAttempts
 	v.Partial = j.partial.String()
-	v.Recovered = j.recovered || j.restored
+	v.Recovered = j.recovered
 	v.EventsDropped = j.log.droppedCount()
-	fs := j.totalFaults(h)
-	v.Retries, v.Faults, v.Timeouts = fs.Retries, fs.Faults, fs.Timeouts
-	v.Skipped, v.Substituted = fs.Skipped, fs.Substituted
-	if h != nil {
-		v.LP = h.LP()
-		v.Active = h.Active()
-		v.Analyses = h.Analyses()
-		v.Decisions = len(h.Decisions())
-		st := h.Stats()
-		v.TasksRun = st.TasksRun
-		v.BusyMS = float64(st.BusyTime) / float64(time.Millisecond)
-		if f := h.Failures(); f != nil {
-			v.FailedBranches = len(f.Failures)
+	o := snap.out
+	if o == nil {
+		live := j.observe(snap.handle)
+		o = &live
+		if h := snap.handle; h != nil {
+			v.LP = h.LP()
+			v.Active = h.Active()
 		}
-		if d := h.Demand(); d.Valid {
-			v.DesiredLP = d.DesiredLP
-			v.OptimalLP = d.OptimalLP
-			v.PredictedMS = float64(d.PredictedWCT) / float64(time.Millisecond)
-			v.OvershootMS = float64(d.Overshoot) / float64(time.Millisecond)
-		}
+	} else if o.err != "" {
+		v.Error = o.err
+	} else {
+		v.Result = o.result
 	}
-	if state.terminal() {
-		v.LP = 0
-		switch {
-		case jerr != nil:
-			v.Error = jerr.Error()
-		case j.restored:
-			v.Result = j.resultSummary // already summarized when journaled
-		default:
-			v.Result = summarize(result)
-		}
+	v.Retries, v.Faults, v.Timeouts = o.faults.Retries, o.faults.Faults, o.faults.Timeouts
+	v.Skipped, v.Substituted = o.faults.Skipped, o.faults.Substituted
+	v.Analyses = o.analyses
+	v.Decisions = len(o.decisions)
+	v.TasksRun = o.stats.TasksRun
+	v.BusyMS = float64(o.stats.BusyTime) / float64(time.Millisecond)
+	v.FailedBranches = o.failedBranches
+	if d := o.demand; d.Valid {
+		v.DesiredLP = d.DesiredLP
+		v.OptimalLP = d.OptimalLP
+		v.PredictedMS = float64(d.PredictedWCT) / float64(time.Millisecond)
+		v.OvershootMS = float64(d.Overshoot) / float64(time.Millisecond)
 	}
 	return v
 }
@@ -448,12 +443,7 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	_, _, h, _, _, _, _ := j.snapshot()
-	var ds []skandium.Decision
-	if h != nil {
-		ds = h.Decisions()
-	}
-	writeJSON(w, http.StatusOK, s.decisionViews(ds))
+	writeJSON(w, http.StatusOK, s.decisionViews(j.decisions()))
 }
 
 // handleEvents streams the job's event log as NDJSON. With ?follow=1 the
@@ -466,7 +456,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	follow := r.URL.Query().Get("follow") != ""
 	var from int64
-	fmt.Sscanf(r.URL.Query().Get("from"), "%d", &from)
+	if raw := r.URL.Query().Get("from"); raw != "" {
+		n, err := strconv.ParseInt(raw, 10, 64)
+		if err != nil || n < 0 {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("bad from %q: want a non-negative integer", raw))
+			return
+		}
+		from = n
+	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -523,24 +520,22 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	_, _, h, _, _, _, _ := j.snapshot()
-
 	var recs []timelineRecord
-	for _, smp := range j.rec.Samples() {
-		recs = append(recs, timelineRecord{
-			Type: "lp", TMS: s.sinceStart(smp.T), Active: smp.Active, LP: smp.LP,
-		})
-	}
-	if h != nil {
-		for _, d := range h.Decisions() {
+	if j.rec != nil {
+		for _, smp := range j.rec.Samples() {
 			recs = append(recs, timelineRecord{
-				Type: "decision", TMS: s.sinceStart(d.Time),
-				OldLP: d.OldLP, NewLP: d.NewLP,
-				PredictedMS: float64(d.PredictedWCT) / float64(time.Millisecond),
-				BestMS:      float64(d.BestWCT) / float64(time.Millisecond),
-				OptimalLP:   d.OptimalLP, Reason: d.Reason,
+				Type: "lp", TMS: s.sinceStart(smp.T), Active: smp.Active, LP: smp.LP,
 			})
 		}
+	}
+	for _, d := range j.decisions() {
+		recs = append(recs, timelineRecord{
+			Type: "decision", TMS: s.sinceStart(d.Time),
+			OldLP: d.OldLP, NewLP: d.NewLP,
+			PredictedMS: float64(d.PredictedWCT) / float64(time.Millisecond),
+			BestMS:      float64(d.BestWCT) / float64(time.Millisecond),
+			OptimalLP:   d.OptimalLP, Reason: d.Reason,
+		})
 	}
 	sortTimeline(recs)
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -624,19 +619,60 @@ func (s *Server) handleArbiter(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// jobMetrics is one job's row of per-job series.
+type jobMetrics struct {
+	j          *job
+	lp, active int
+	grant      int
+	stats      exec.Stats
+	faults     skandium.FaultStats
+}
+
+// jobRows reads every job's per-job series: from the handle while the job
+// runs, from its outcome once terminal.
+func (s *Server) jobRows() []jobMetrics {
+	ids := s.JobIDs()
+	rows := make([]jobMetrics, 0, len(ids))
+	for _, id := range ids {
+		j, ok := s.Job(id)
+		if !ok {
+			continue
+		}
+		snap := j.snapshot()
+		row := jobMetrics{j: j, grant: snap.grant}
+		switch h := snap.handle; {
+		case snap.out != nil:
+			row.stats, row.faults = snap.out.stats, snap.out.faults
+		case h != nil:
+			row.lp, row.active = h.LP(), h.Active()
+			row.stats, row.faults = h.Stats(), j.totalFaults(h)
+		default:
+			row.faults = j.prior
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
 // handleMetrics exposes the fleet in Prometheus text exposition format
 // (hand-rolled: no dependency for a text format).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	rows := s.jobRows()
+	var retries, faults uint64
+	for _, row := range rows {
+		retries += row.faults.Retries
+		faults += row.faults.Faults
+	}
+	totalLP, peakLP := s.fleetLP()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	fmt.Fprintf(w, "# HELP skelrund_budget machine-wide LP budget\n")
 	fmt.Fprintf(w, "skelrund_budget %d\n", s.Budget())
 	fmt.Fprintf(w, "# HELP skelrund_granted sum of current arbiter grants\n")
 	fmt.Fprintf(w, "skelrund_granted %d\n", s.arb.Granted())
 	fmt.Fprintf(w, "# HELP skelrund_total_lp sum of all job pools' current LP\n")
-	fmt.Fprintf(w, "skelrund_total_lp %d\n", s.fleet.TotalLP())
+	fmt.Fprintf(w, "skelrund_total_lp %d\n", totalLP)
 	fmt.Fprintf(w, "# HELP skelrund_peak_total_lp peak of the aggregate LP series\n")
-	fmt.Fprintf(w, "skelrund_peak_total_lp %d\n", s.fleet.PeakTotalLP())
-	retries, faults := s.fleet.TotalFaults()
+	fmt.Fprintf(w, "skelrund_peak_total_lp %d\n", peakLP)
 	fmt.Fprintf(w, "# HELP skelrund_retries_total muscle attempts retried, fleet-wide\n")
 	fmt.Fprintf(w, "skelrund_retries_total %d\n", retries)
 	fmt.Fprintf(w, "# HELP skelrund_faults_total terminal muscle failures, fleet-wide\n")
@@ -647,7 +683,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP skelrund_queue_max wait-queue bound (0 = unbounded)\n")
 	fmt.Fprintf(w, "skelrund_queue_max %d\n", queueMax)
 	fmt.Fprintf(w, "# HELP skelrund_shed_total submissions rejected by admission control\n")
-	sheds := s.fleet.Sheds()
+	ast := s.adm.stats()
+	sheds := ast.Sheds
 	reasons := make([]string, 0, len(sheds))
 	for r := range sheds {
 		reasons = append(reasons, r)
@@ -656,7 +693,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, r := range reasons {
 		fmt.Fprintf(w, "skelrund_shed_total{reason=%q} %d\n", r, sheds[r])
 	}
-	ast := s.adm.stats()
 	brown := 0
 	if ast.BrownedOut {
 		brown = 1
@@ -677,7 +713,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(w, "skelrund_tenant_granted_lp{tenant=%q} %d\n", t, grants[t])
 		}
 	}
-	if tsheds := s.fleet.TenantSheds(); len(tsheds) > 0 {
+	if tsheds := ast.TenantSheds; len(tsheds) > 0 {
 		fmt.Fprintf(w, "# HELP skelrund_tenant_shed_total submissions rejected per tenant and reason\n")
 		tenants := make([]string, 0, len(tsheds))
 		for t := range tsheds {
@@ -742,42 +778,22 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, st := range statesInOrder(counts) {
 		fmt.Fprintf(w, "skelrund_jobs{state=%q} %d\n", st, counts[st])
 	}
-	for _, id := range s.JobIDs() {
-		j, ok := s.Job(id)
-		if !ok {
-			continue
-		}
-		state, grant, h, _, _, _, _ := j.snapshot()
-		lp, active := 0, 0
-		var stats statsView
-		faults := j.totalFaults(h)
-		if h != nil {
-			if !state.terminal() {
-				lp, active = h.LP(), h.Active()
-			}
-			ps := h.Stats()
-			stats = statsView{Tasks: ps.TasksRun, BusySec: ps.BusyTime.Seconds(), Spawned: ps.Spawned}
-		}
+	for _, row := range rows {
+		j := row.j
 		lbl := fmt.Sprintf("{job=%q,skeleton=%q}", j.id, j.skeleton)
-		fmt.Fprintf(w, "skelrund_job_lp%s %d\n", lbl, lp)
-		fmt.Fprintf(w, "skelrund_job_active%s %d\n", lbl, active)
-		fmt.Fprintf(w, "skelrund_job_grant%s %d\n", lbl, grant)
-		fmt.Fprintf(w, "skelrund_job_tasks_total%s %d\n", lbl, stats.Tasks)
-		fmt.Fprintf(w, "skelrund_job_busy_seconds%s %g\n", lbl, stats.BusySec)
-		fmt.Fprintf(w, "skelrund_job_workers_spawned%s %d\n", lbl, stats.Spawned)
-		fmt.Fprintf(w, "skelrund_job_retries_total%s %d\n", lbl, faults.Retries)
-		fmt.Fprintf(w, "skelrund_job_faults_total%s %d\n", lbl, faults.Faults)
-		fmt.Fprintf(w, "skelrund_job_timeouts_total%s %d\n", lbl, faults.Timeouts)
-		fmt.Fprintf(w, "skelrund_job_skipped_total%s %d\n", lbl, faults.Skipped)
-		fmt.Fprintf(w, "skelrund_job_substituted_total%s %d\n", lbl, faults.Substituted)
+		fmt.Fprintf(w, "skelrund_job_lp%s %d\n", lbl, row.lp)
+		fmt.Fprintf(w, "skelrund_job_active%s %d\n", lbl, row.active)
+		fmt.Fprintf(w, "skelrund_job_grant%s %d\n", lbl, row.grant)
+		fmt.Fprintf(w, "skelrund_job_tasks_total%s %d\n", lbl, row.stats.TasksRun)
+		fmt.Fprintf(w, "skelrund_job_busy_seconds%s %g\n", lbl, row.stats.BusyTime.Seconds())
+		fmt.Fprintf(w, "skelrund_job_workers_spawned%s %d\n", lbl, row.stats.Spawned)
+		fmt.Fprintf(w, "skelrund_job_retries_total%s %d\n", lbl, row.faults.Retries)
+		fmt.Fprintf(w, "skelrund_job_faults_total%s %d\n", lbl, row.faults.Faults)
+		fmt.Fprintf(w, "skelrund_job_timeouts_total%s %d\n", lbl, row.faults.Timeouts)
+		fmt.Fprintf(w, "skelrund_job_skipped_total%s %d\n", lbl, row.faults.Skipped)
+		fmt.Fprintf(w, "skelrund_job_substituted_total%s %d\n", lbl, row.faults.Substituted)
 		fmt.Fprintf(w, "skelrund_job_events_dropped%s %d\n", lbl, j.log.droppedCount())
 	}
-}
-
-type statsView struct {
-	Tasks   uint64
-	BusySec float64
-	Spawned int
 }
 
 // sortTimeline orders records by time, stable across types.

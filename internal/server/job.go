@@ -8,6 +8,7 @@ import (
 
 	"skandium"
 	"skandium/internal/core"
+	"skandium/internal/exec"
 	"skandium/internal/metrics"
 )
 
@@ -32,12 +33,17 @@ var errShutdown = fmt.Errorf("server: daemon shutting down")
 // job is one submitted execution: the erased runner plus its QoS, event
 // log, timeline recorder and arbitration state. It implements core.Member,
 // so the arbiter reads its controller's demand and imposes grants directly.
+//
+// A job has two shapes. While queued or running it holds its runner and,
+// once started, its handle. When it reaches a terminal state it keeps only
+// its outcome: the runner, handle and raw result are dropped. A job
+// restored from the journal is born in the terminal shape.
 type job struct {
 	id       string
 	skeleton string
 	program  string
 	params   skandium.Params
-	runner   skandium.Runner
+	runner   skandium.Runner // nil once terminal
 	goal     time.Duration
 	maxLP    int
 	initLP   int
@@ -52,52 +58,100 @@ type job struct {
 	retry    skandium.RetryPolicy
 	partial  skandium.PartialPolicy
 	log      *eventLog
-	rec      *metrics.Recorder
+	// rec is the job's LP/active timeline (nil for restored jobs, which
+	// never ran here).
+	rec *metrics.Recorder
 	// remoteOK marks the job routable to the cluster: eligible blueprint,
 	// no local-only QoS/fault knobs (shardability is checked at start).
 	remoteOK bool
 
-	// Crash-recovery state. recovered marks a job re-queued from the
-	// journal (it re-runs; muscles are pure). restored marks a terminal job
-	// rehydrated from the snapshot: it has no runner or handle, only its
-	// persisted outcome. prior carries fault counters journaled before the
-	// crash; faultRetries/faultFaults accumulate this run's, for mid-run
+	// Crash-recovery state. recovered marks a job that survived a restart:
+	// re-queued from the journal (it re-runs; muscles are pure) or restored
+	// as a terminal outcome. prior carries fault counters journaled before
+	// the crash; faultRetries/faultFaults accumulate this run's, for mid-run
 	// journaling (listener goroutines, hence atomics).
-	recovered     bool
-	restored      bool
-	resultSummary string
-	prior         skandium.FaultStats
-	faultRetries  atomic.Uint64
-	faultFaults   atomic.Uint64
+	recovered    bool
+	prior        skandium.FaultStats
+	faultRetries atomic.Uint64
+	faultFaults  atomic.Uint64
+	// gaugeLP is the LP the job last added to the fleet LP sum, -1 once it
+	// ended and left the sum. Guarded by the server's lpMu.
+	gaugeLP int
 
 	mu       sync.Mutex
 	state    jobState
 	grant    int
-	handle   skandium.Handle
+	handle   skandium.Handle // nil while queued and once terminal
 	created  time.Time
 	started  time.Time
 	finished time.Time
-	result   any
-	err      error
+	out      *outcome // set exactly when state is terminal
 	canceled bool
 }
 
-// Demand implements core.Member: the controller's wish once running, a
-// minimal placeholder while queued (so a just-admitted job starts at one
-// worker until its first analysis).
-func (j *job) Demand() core.Demand {
-	j.mu.Lock()
-	h := j.handle
-	j.mu.Unlock()
+// outcome is a job's execution record: what its view, /decisions,
+// /timeline and /metrics render besides the spec. A live job's record is
+// read fresh from its handle; a terminal job's is frozen once, when it
+// ends, or rebuilt from the journal on restore.
+type outcome struct {
+	result         string // summarized result; "" when err is set
+	err            string
+	faults         skandium.FaultStats // including the counters of runs before a crash
+	stats          exec.Stats
+	analyses       int
+	decisions      []skandium.Decision
+	demand         core.Demand // the controller's last wish
+	failedBranches int
+}
+
+// observe reads a job's execution record from its handle (nil for a job
+// still queued: only the prior fault counters).
+func (j *job) observe(h skandium.Handle) outcome {
+	o := outcome{faults: j.totalFaults(h)}
 	if h == nil {
-		return core.Demand{}
+		return o
 	}
+	o.stats = h.Stats()
+	o.analyses = h.Analyses()
+	o.decisions = h.Decisions()
+	o.demand = demandOf(h)
+	if f := h.Failures(); f != nil {
+		o.failedBranches = len(f.Failures)
+	}
+	return o
+}
+
+// end moves the job to a terminal state with its outcome and drops its
+// execution. Caller holds j.mu.
+func (j *job) end(state jobState, out *outcome, at time.Time) {
+	j.state, j.out, j.finished = state, out, at
+	j.handle, j.runner = nil, nil
+}
+
+// demandOf is a handle's demand as the arbiter reads it.
+func demandOf(h skandium.Handle) core.Demand {
 	d := h.Demand()
 	if d.CurrentLP == 0 {
 		// No autonomic controller (no WCT goal): hold what the pool uses.
 		d.CurrentLP = h.LP()
 	}
 	return d
+}
+
+// Demand implements core.Member: the controller's wish once running, a
+// minimal placeholder while queued (so a just-admitted job starts at one
+// worker until its first analysis), the last wish once terminal.
+func (j *job) Demand() core.Demand {
+	j.mu.Lock()
+	h, out := j.handle, j.out
+	j.mu.Unlock()
+	switch {
+	case h != nil:
+		return demandOf(h)
+	case out != nil:
+		return out.demand
+	}
+	return core.Demand{}
 }
 
 // Grant implements core.Member: the arbiter's budget share becomes the
@@ -112,15 +166,37 @@ func (j *job) Grant(n int) {
 	}
 }
 
+// jobSnapshot is a job's mutable fields read under its lock.
+type jobSnapshot struct {
+	state             jobState
+	grant             int
+	handle            skandium.Handle
+	started, finished time.Time
+	out               *outcome
+}
+
 // snapshot returns the mutable fields under the job lock.
-func (j *job) snapshot() (state jobState, grant int, h skandium.Handle, started, finished time.Time, result any, err error) {
+func (j *job) snapshot() jobSnapshot {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.state, j.grant, j.handle, j.started, j.finished, j.result, j.err
+	return jobSnapshot{j.state, j.grant, j.handle, j.started, j.finished, j.out}
+}
+
+// decisions returns a job's decision log: its handle's while it runs, its
+// outcome's once terminal.
+func (j *job) decisions() []skandium.Decision {
+	snap := j.snapshot()
+	switch {
+	case snap.out != nil:
+		return snap.out.decisions
+	case snap.handle != nil:
+		return snap.handle.Decisions()
+	}
+	return nil
 }
 
 // totalFaults merges the fault counters journaled before a crash with this
-// run's (h is nil for restored or still-queued jobs).
+// run's (h is nil for a still-queued job).
 func (j *job) totalFaults(h skandium.Handle) skandium.FaultStats {
 	fs := j.prior
 	if h != nil {

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"skandium/internal/metrics"
 	"skandium/internal/workload"
 )
 
@@ -76,7 +75,7 @@ func TestOverloadFairnessInvariants(t *testing.T) {
 	if frac := float64(sheds) / float64(rep.Submitted); frac < 0.25 {
 		t.Errorf("shed fraction %.2f implausibly low for 2× oversubscription", frac)
 	}
-	if rep.Shed[metrics.ShedBrownout] == 0 {
+	if rep.Shed[shedBrownout] == 0 {
 		t.Errorf("no brownout sheds: %v", rep.Shed)
 	}
 

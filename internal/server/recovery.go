@@ -9,6 +9,7 @@ import (
 	"skandium"
 	"skandium/internal/core"
 	"skandium/internal/journal"
+	"skandium/internal/metrics"
 )
 
 // recover rebuilds the job table from a journal replay. Terminal jobs are
@@ -48,31 +49,27 @@ func jobNum(id string) (int, bool) {
 	return n, err == nil
 }
 
-// restoreLocked rehydrates one terminal job from its persisted outcome.
+// restoreLocked rehydrates one terminal job from its persisted outcome: the
+// same terminal shape a job finished in this process has, with no timeline.
 // Caller holds s.mu.
 func (s *Server) restoreLocked(st journal.JobState) {
 	j := &job{
-		id:            st.ID,
-		skeleton:      st.Spec.Skeleton,
-		program:       st.Spec.Program,
-		params:        st.Spec.Params,
-		goal:          msToDur(st.Spec.GoalMS),
-		maxLP:         st.Spec.MaxLP,
-		policy:        st.Spec.Policy,
-		tenant:        core.CanonTenant(st.Spec.Tenant),
-		priority:      st.Spec.Priority,
-		restored:      true,
-		resultSummary: st.Result,
-		prior:         faultStats(st.Faults),
-		state:         restoredState(st.State),
-		created:       s.clk.Now(),
-	}
-	if st.Error != "" {
-		j.err = fmt.Errorf("%s", st.Error)
+		id:        st.ID,
+		skeleton:  st.Spec.Skeleton,
+		program:   st.Spec.Program,
+		params:    st.Spec.Params,
+		goal:      msToDur(st.Spec.GoalMS),
+		maxLP:     st.Spec.MaxLP,
+		policy:    st.Spec.Policy,
+		tenant:    core.CanonTenant(st.Spec.Tenant),
+		priority:  st.Spec.Priority,
+		recovered: true,
+		state:     restoredState(st.State),
+		created:   s.clk.Now(),
+		out:       &outcome{result: st.Result, err: st.Error, faults: faultStats(st.Faults)},
 	}
 	j.log = newEventLog(1, j.created)
 	j.log.close()
-	j.rec = s.fleet.Job(j.id)
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 }
@@ -131,7 +128,7 @@ func (s *Server) requeueLocked(st journal.JobState) {
 		state:     stateQueued,
 	}
 	j.log = newEventLog(s.cfg.EventLog, j.created)
-	j.rec = s.fleet.Job(j.id)
+	j.rec = metrics.NewRecorder()
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.queue = append(s.queue, j)

@@ -197,8 +197,7 @@ func TestCloseDuringRecovery(t *testing.T) {
 		live := 0
 		for _, id := range srv.JobIDs() {
 			j, _ := srv.Job(id)
-			st, _, _, _, _, _, _ := j.snapshot()
-			if !st.terminal() {
+			if !j.snapshot().state.terminal() {
 				live++
 			}
 		}

@@ -38,25 +38,19 @@ func newTestClusterDaemon(t *testing.T, workers int) (*Server, *httptest.Server,
 	return srv, ts, wss
 }
 
-func waitJobDone(t *testing.T, j *job) (any, error) {
+// waitJobDone waits until the job reaches a terminal state and returns its
+// outcome record.
+func waitJobDone(t *testing.T, j *job) *outcome {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		j.mu.Lock()
-		h := j.handle
-		j.mu.Unlock()
-		if h != nil {
-			select {
-			case <-h.Done():
-				return h.Result()
-			case <-time.After(10 * time.Millisecond):
-			}
-		} else {
-			time.Sleep(5 * time.Millisecond)
+		if out := j.snapshot().out; out != nil {
+			return out
 		}
+		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("job never finished")
-	return nil, nil
+	return nil
 }
 
 // jobEvents renders a job's full event log as one string.
@@ -83,12 +77,12 @@ func TestServerRoutesEligibleJobToCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := waitJobDone(t, j)
-	if err != nil {
-		t.Fatal(err)
+	out := waitJobDone(t, j)
+	if out.err != "" {
+		t.Fatal(out.err)
 	}
-	if res != 16 {
-		t.Fatalf("result %v, want 16 surviving cells", res)
+	if out.result != "16" {
+		t.Fatalf("result %q, want 16 surviving cells", out.result)
 	}
 	if evs := jobEvents(j); !strings.Contains(evs, "cluster@route") {
 		t.Fatalf("event log lacks the cluster routing marker:\n%s", evs)
@@ -132,8 +126,8 @@ func TestServerKeepsGoalJobsLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := waitJobDone(t, j); err != nil {
-		t.Fatal(err)
+	if out := waitJobDone(t, j); out.err != "" {
+		t.Fatal(out.err)
 	}
 	if evs := jobEvents(j); strings.Contains(evs, "cluster@route") {
 		t.Fatal("goal-bearing job was routed to the cluster")
@@ -156,12 +150,12 @@ func TestServerNodeLossInJobLog(t *testing.T) {
 	time.AfterFunc(150*time.Millisecond, wss[1].CloseClientConnections)
 	time.AfterFunc(160*time.Millisecond, wss[1].Close)
 
-	res, err := waitJobDone(t, j)
-	if err != nil {
-		t.Fatalf("job failed despite a surviving worker: %v", err)
+	out := waitJobDone(t, j)
+	if out.err != "" {
+		t.Fatalf("job failed despite a surviving worker: %s", out.err)
 	}
-	if res != 24 {
-		t.Fatalf("result %v, want 24", res)
+	if out.result != "24" {
+		t.Fatalf("result %q, want 24", out.result)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {

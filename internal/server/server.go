@@ -13,9 +13,8 @@ import (
 	"log"
 	"runtime"
 	"sort"
-	"time"
-
 	"sync"
+	"time"
 
 	"skandium"
 	"skandium/internal/clock"
@@ -81,18 +80,23 @@ type Config struct {
 	Cluster *remote.Cluster
 }
 
-// Server owns the job table, the arbiter and the fleet metrics. Build one
+// Server owns the job table, the arbiter and the fleet LP sum. Build one
 // with New, expose Handler over HTTP, stop with Drain/Close.
 type Server struct {
 	cfg       Config
 	arb       *core.Arbiter
-	fleet     *metrics.Fleet
 	clk       clock.Clock
 	stopArb   func()
 	startTime time.Time
 	jn        *journal.Journal   // nil = memory-only
 	profiles  *core.ProfileStore // per-skeleton work/span, feeds admission
 	adm       *admission         // tenant-fair front door (ladder + brownout)
+
+	// lpMu guards the fleet LP sum: totalLP is the sum of every job's last
+	// gauged LP (job.gaugeLP), peakLP its maximum.
+	lpMu    sync.Mutex
+	totalLP int
+	peakLP  int
 
 	mu         sync.Mutex
 	jobs       map[string]*job
@@ -127,7 +131,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		arb:        core.NewArbiter(cfg.Budget, cfg.Clock),
-		fleet:      metrics.NewFleet(),
 		clk:        cfg.Clock,
 		jn:         cfg.Journal,
 		profiles:   core.NewProfileStore(),
@@ -162,7 +165,6 @@ func New(cfg Config) *Server {
 		cfg.Cluster.SetOnNodeEvent(s.onNodeEvent)
 	}
 	s.startTime = s.clk.Now()
-	s.fleet.SetStart(s.startTime)
 	s.stopArb = s.arb.StartTicker(cfg.Rebalance)
 	s.recover(cfg.Recover)
 	return s
@@ -173,9 +175,6 @@ func (s *Server) Budget() int { return s.arb.Budget() }
 
 // Arbiter exposes the budget arbiter (API handlers, tests).
 func (s *Server) Arbiter() *core.Arbiter { return s.arb }
-
-// Fleet exposes the aggregate metrics recorder.
-func (s *Server) Fleet() *metrics.Fleet { return s.fleet }
 
 // SubmitSpec is a decoded job submission.
 type SubmitSpec struct {
@@ -257,7 +256,7 @@ func (s *Server) Submit(spec SubmitSpec) (*job, error) {
 	if spec.Goal > 0 {
 		if pr, ok := s.profiles.Lookup(spec.Skeleton); ok &&
 			!core.Feasible(spec.Goal, pr.Work, pr.Span, s.arb.Budget()) {
-			s.fleet.ShedTenant(tenant, metrics.ShedInfeasible)
+			s.adm.shed(tenant, shedInfeasible)
 			return nil, &InfeasibleError{
 				Skeleton: spec.Skeleton, Goal: spec.Goal,
 				Work: pr.Work, Span: pr.Span, Budget: s.arb.Budget(),
@@ -265,7 +264,7 @@ func (s *Server) Submit(spec SubmitSpec) (*job, error) {
 		}
 	}
 	if s.Draining() {
-		s.fleet.ShedTenant(tenant, metrics.ShedDraining)
+		s.adm.shed(tenant, shedDraining)
 		return nil, ErrDraining
 	}
 
@@ -274,7 +273,6 @@ func (s *Server) Submit(spec SubmitSpec) (*job, error) {
 	// straight back into the server.
 	v := s.adm.decide(tenant, spec.Priority)
 	if !v.admit {
-		s.fleet.ShedTenant(tenant, v.reason)
 		return nil, &OverloadError{Reason: v.reason, Queued: v.queued, RetryAfter: v.retryAfter}
 	}
 
@@ -284,7 +282,7 @@ func (s *Server) Submit(spec SubmitSpec) (*job, error) {
 		// queue slot back and refuse.
 		s.mu.Unlock()
 		s.adm.dequeued(tenant)
-		s.fleet.ShedTenant(tenant, metrics.ShedDraining)
+		s.adm.shed(tenant, shedDraining)
 		return nil, ErrDraining
 	}
 	s.nextID++
@@ -310,7 +308,7 @@ func (s *Server) Submit(spec SubmitSpec) (*job, error) {
 			spec.RetryAttempts <= 1 && spec.Partial == "",
 	}
 	j.log = newEventLog(s.cfg.EventLog, j.created)
-	j.rec = s.fleet.Job(j.id)
+	j.rec = metrics.NewRecorder()
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.queue = append(s.queue, j)
@@ -336,7 +334,7 @@ var ErrDraining = fmt.Errorf("server: draining, not accepting jobs")
 // OverloadError sheds a submission on the admission ladder. The HTTP layer
 // renders it as 429 with a Retry-After hint derived from the drain rate.
 type OverloadError struct {
-	Reason     string // metrics.Shed* label naming the rung that refused
+	Reason     string // shed* label naming the rung that refused
 	Queued     int
 	RetryAfter time.Duration
 }
@@ -344,7 +342,7 @@ type OverloadError struct {
 func (e *OverloadError) Error() string {
 	reason := e.Reason
 	if reason == "" {
-		reason = metrics.ShedQueueFull
+		reason = shedQueueFull
 	}
 	return fmt.Sprintf("server: overloaded (%s), %d jobs already queued (retry in %v)", reason, e.Queued, e.RetryAfter)
 }
@@ -428,9 +426,8 @@ func (s *Server) start(j *job) {
 		skandium.WithMaxLP(j.maxLP),
 		skandium.WithLPCap(grant),
 		skandium.WithClock(s.clk),
-		skandium.WithGauge(j.rec.Gauge),
-		skandium.WithListener(j.log.listener()),
-		skandium.WithListener(j.rec.FaultListener()),
+		skandium.WithGauge(func(now time.Time, active, lp int) { s.gauge(j, now, active, lp) }),
+		skandium.WithListener(s.jobListener(j)),
 		skandium.WithPartialFailure(j.partial),
 	}
 	if j.timeout > 0 {
@@ -467,11 +464,8 @@ func (s *Server) start(j *job) {
 		}
 	}
 	if s.jn != nil {
-		// Write-ahead: the start is durable before any muscle runs, and
-		// fault counters are journaled as they advance so a crash cannot
-		// zero them.
+		// Write-ahead: the start is durable before any muscle runs.
 		_ = s.jn.Start(j.id)
-		opts = append(opts, skandium.WithListener(s.faultJournalListener(j)))
 	}
 	j.handle = j.runner.Start(opts...)
 	j.state = stateRunning
@@ -481,11 +475,17 @@ func (s *Server) start(j *job) {
 	go s.watch(j, handle)
 }
 
-// faultJournalListener persists a job's cumulative retry/fault counters on
-// every fault-vocabulary event. It runs on worker goroutines, so it only
-// touches atomics and the journal's own lock.
-func (s *Server) faultJournalListener(j *job) event.Listener {
+// jobListener is a local job's one event listener: it appends every event
+// to the job's ring and, with a journal, persists the cumulative
+// retry/fault counters on every fault-vocabulary event so a crash cannot
+// zero them. It runs on worker goroutines, so it only touches the ring,
+// atomics and the journal's own lock.
+func (s *Server) jobListener(j *job) event.Listener {
 	return event.Func(func(e *event.Event) any {
+		j.log.record(e)
+		if s.jn == nil {
+			return e.Param
+		}
 		switch e.Where {
 		case event.Retry:
 			j.faultRetries.Add(1)
@@ -502,35 +502,73 @@ func (s *Server) faultJournalListener(j *job) event.Listener {
 	})
 }
 
-// watch waits for a job to finish, persists the outcome, returns its
-// budget and admits the next queued job.
+// gauge is a job's pool gauge hook: it extends the job's timeline and
+// moves the fleet LP sum.
+func (s *Server) gauge(j *job, now time.Time, active, lp int) {
+	j.rec.Gauge(now, active, lp)
+	s.setLP(j, lp)
+}
+
+// endGauge drops an ended job to LP 0 on its timeline and takes it out of
+// the fleet LP sum for good.
+func (s *Server) endGauge(j *job, now time.Time) {
+	j.rec.Gauge(now, 0, 0)
+	s.setLP(j, -1)
+}
+
+// setLP moves the fleet LP sum by the job's LP change and raises its peak.
+// lp < 0 ends the job: its LP leaves the sum, and a worker's sample racing
+// watch cannot put it back.
+func (s *Server) setLP(j *job, lp int) {
+	s.lpMu.Lock()
+	defer s.lpMu.Unlock()
+	if j.gaugeLP < 0 {
+		return
+	}
+	s.totalLP += max(lp, 0) - j.gaugeLP
+	s.peakLP = max(s.peakLP, s.totalLP)
+	j.gaugeLP = lp
+}
+
+// fleetLP returns the fleet LP sum and its peak.
+func (s *Server) fleetLP() (total, peak int) {
+	s.lpMu.Lock()
+	defer s.lpMu.Unlock()
+	return s.totalLP, s.peakLP
+}
+
+// watch waits for a job to finish, freezes its outcome, persists it,
+// returns its budget and admits the next queued job.
 func (s *Server) watch(j *job, h skandium.Handle) {
 	res, err := h.Result()
 	now := s.clk.Now()
+	out := j.observe(h)
+	if err != nil {
+		out.err = err.Error()
+	} else {
+		out.result = summarize(res)
+	}
 
 	j.mu.Lock()
-	j.finished = now
-	j.result, j.err = res, err
+	state := stateFailed
 	switch {
 	case err == nil:
-		j.state = stateDone
+		state = stateDone
 	case j.canceled || err == errCanceled || err == errShutdown || err == skandium.ErrClosed:
-		j.state = stateCanceled
-	default:
-		j.state = stateFailed
+		state = stateCanceled
 	}
-	state := j.state
+	j.end(state, &out, now)
 	j.mu.Unlock()
 
 	if s.jn != nil {
-		fc := faultCounts(j.totalFaults(h))
+		fc := faultCounts(out.faults)
 		switch state {
 		case stateDone:
-			_ = s.jn.Finish(j.id, journal.StateDone, summarize(res), "", fc)
+			_ = s.jn.Finish(j.id, journal.StateDone, out.result, "", fc)
 		case stateFailed:
-			_ = s.jn.Finish(j.id, journal.StateFailed, "", err.Error(), fc)
+			_ = s.jn.Finish(j.id, journal.StateFailed, "", out.err, fc)
 		case stateCanceled:
-			_ = s.jn.Cancel(j.id, err.Error())
+			_ = s.jn.Cancel(j.id, out.err)
 		}
 	}
 	if state == stateDone {
@@ -538,14 +576,14 @@ func (s *Server) watch(j *job, h skandium.Handle) {
 		// the controller's best-effort estimate is the span (zero without a
 		// goal — the work bound still applies).
 		var span time.Duration
-		if d := h.Demand(); d.Valid && d.BestWCT > 0 {
+		if d := out.demand; d.Valid && d.BestWCT > 0 {
 			span = d.BestWCT
 		}
-		s.profiles.Observe(j.skeleton, h.Stats().BusyTime, span)
+		s.profiles.Observe(j.skeleton, out.stats.BusyTime, span)
 	}
 	s.adm.finished(now) // feed the drain-rate estimate behind Retry-After
 
-	j.rec.Gauge(now, 0, 0) // the aggregate series drops to reality
+	s.endGauge(j, now)
 	j.log.close()
 	s.arb.Release(j.id)
 	h.Close()
@@ -606,9 +644,7 @@ func (s *Server) Cancel(id string) bool {
 	h := j.handle
 	canceledInPlace := false
 	if h == nil && !j.state.terminal() {
-		j.state = stateCanceled
-		j.finished = s.clk.Now()
-		j.err = errCanceled
+		j.end(stateCanceled, &outcome{err: errCanceled.Error(), faults: j.prior}, s.clk.Now())
 		canceledInPlace = true
 	}
 	j.mu.Unlock()
@@ -747,8 +783,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		case <-ctx.Done():
 			for _, id := range s.JobIDs() {
 				if j, ok := s.Job(id); ok {
-					st, _, _, _, _, _, _ := j.snapshot()
-					if !st.terminal() {
+					if !j.snapshot().state.terminal() {
 						s.Cancel(id)
 					}
 				}
@@ -789,9 +824,7 @@ func (s *Server) Close() {
 		j.mu.Lock()
 		h := j.handle
 		if h == nil && !j.state.terminal() {
-			j.state = stateCanceled
-			j.err = errShutdown
-			j.finished = s.clk.Now()
+			j.end(stateCanceled, &outcome{err: errShutdown.Error(), faults: j.prior}, s.clk.Now())
 		}
 		j.mu.Unlock()
 		if h != nil {
