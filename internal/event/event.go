@@ -17,6 +17,7 @@ package event
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -144,15 +145,29 @@ func (e *Event) CurrentSkel() *skel.Node { return e.Node }
 
 // String renders the event in the paper's ∆@notation for logs and tests.
 func (e *Event) String() string {
-	code := map[Where]string{
-		Skeleton: "", Split: "s", Merge: "m", Condition: "c", NestedSkel: "n",
-		Retry: "r", Fault: "f",
-	}[e.Where]
+	return Notation(e.Node.Kind(), e.When, e.Where, e.Index)
+}
+
+// whereCodes are the one-letter Where codes of the ∆@notation; Skeleton
+// has none.
+var whereCodes = [numWhere]string{
+	Skeleton: "", Split: "s", Merge: "m", Condition: "c", NestedSkel: "n",
+	Retry: "r", Fault: "f",
+}
+
+// Notation renders an event's coordinates in the paper's ∆@notation, e.g.
+// "map@as(3)": the node kind, b(efore) or a(fter), the Where code, and the
+// activation index. A Where outside the enum renders no code.
+func Notation(kind skel.Kind, when When, where Where, index int64) string {
+	code := ""
+	if where >= 0 && int(where) < numWhere {
+		code = whereCodes[where]
+	}
 	wh := "b"
-	if e.When == After {
+	if when == After {
 		wh = "a"
 	}
-	return fmt.Sprintf("%s@%s%s(%d)", e.Node.Kind(), wh, code, e.Index)
+	return kind.String() + "@" + wh + code + "(" + strconv.FormatInt(index, 10) + ")"
 }
 
 // Listener receives events. Handler returns the (possibly replaced) partial

@@ -2,6 +2,7 @@ package event
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -152,6 +153,62 @@ func TestEventStringNotation(t *testing.T) {
 		if got := e.String(); got != tc.want {
 			t.Errorf("%v/%v: got %q, want %q", tc.when, tc.where, got, tc.want)
 		}
+	}
+}
+
+// oldNotation is the map-literal formatter Event.String used before
+// Notation existed; TestNotationTable holds Notation to its output.
+func oldNotation(kind skel.Kind, when When, where Where, index int64) string {
+	code := map[Where]string{
+		Skeleton: "", Split: "s", Merge: "m", Condition: "c", NestedSkel: "n",
+		Retry: "r", Fault: "f",
+	}[where]
+	wh := "b"
+	if when == After {
+		wh = "a"
+	}
+	return fmt.Sprintf("%s@%s%s(%d)", kind, wh, code, index)
+}
+
+// TestNotationTable renders every Kind × When × Where, plus out-of-range
+// When and Where values, through Notation and Event.String and compares
+// them with the old formatter and a few literal pins.
+func TestNotationTable(t *testing.T) {
+	pins := map[string]bool{
+		"seq@b(0)": false, "d&c@ar(-1)": false, "fork@af(42)": false,
+		"while@bc(7)": false, "pipe@an(7)": false, "map@b(7)": false,
+		"farm@a(0)": false,
+	}
+	nodes := map[skel.Kind]*skel.Node{skel.Map: mapNode()}
+	for _, idx := range []int64{0, 7, 42, -1, math.MaxInt64} {
+		for k := skel.Seq; k <= skel.DaC; k++ {
+			for _, when := range []When{Before, After, When(2), When(-1)} {
+				for where := Where(-1); where <= Fault+2; where++ {
+					want := oldNotation(k, when, where, idx)
+					got := Notation(k, when, where, idx)
+					if got != want {
+						t.Errorf("Notation(%v, %v, %v, %d) = %q, want %q", k, when, where, idx, got, want)
+					}
+					if _, ok := pins[got]; ok {
+						pins[got] = true
+					}
+					if nd := nodes[k]; nd != nil {
+						e := &Event{Node: nd, When: when, Where: where, Index: idx}
+						if s := e.String(); s != want {
+							t.Errorf("Event.String() = %q, want %q", s, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	for p, seen := range pins {
+		if !seen {
+			t.Errorf("pinned notation %q never rendered", p)
+		}
+	}
+	if got := Notation(skel.Map, After, Where(99), 3); got != "map@a(3)" {
+		t.Errorf("out-of-range Where: got %q, want map@a(3)", got)
 	}
 }
 

@@ -470,7 +470,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	for {
-		recs, next, done, lost, changed := j.log.snapshot(from)
+		recs, next, done, lost := j.log.snapshot(from)
 		if lost > 0 {
 			// The ring evicted records between the reader's cursor and the
 			// oldest retained one: say so explicitly instead of silently
@@ -493,7 +493,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		select {
-		case <-changed:
+		case <-j.log.wait(next):
 		case <-r.Context().Done():
 			return
 		}

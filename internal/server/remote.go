@@ -38,8 +38,7 @@ func (s *Server) startRemote(j *job) {
 	if s.jn != nil {
 		_ = s.jn.Start(j.id)
 	}
-	j.log.append(eventRecord{
-		TMS:  float64(s.clk.Now().Sub(j.log.start)) / float64(time.Millisecond),
+	j.log.note(s.clk.Now(), eventRecord{
 		Ev:   fmt.Sprintf("cluster@route(%s tenant=%s)", j.skeleton, j.tenant),
 		Kind: "cluster", When: "route", Where: "cluster",
 	})
@@ -86,8 +85,7 @@ func (s *Server) onNodeEvent(ev remote.NodeEvent) {
 		detail += " cause=" + ev.Cause
 	}
 	for _, j := range jobs {
-		j.log.append(eventRecord{
-			TMS:  float64(ev.Time.Sub(j.log.start)) / float64(time.Millisecond),
+		j.log.note(ev.Time, eventRecord{
 			Ev:   fmt.Sprintf("cluster@%s(%s)", kind, detail),
 			Kind: "cluster", When: kind, Where: ev.Addr, Err: ev.Err,
 		})

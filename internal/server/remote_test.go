@@ -55,7 +55,7 @@ func waitJobDone(t *testing.T, j *job) *outcome {
 
 // jobEvents renders a job's full event log as one string.
 func jobEvents(j *job) string {
-	recs, _, _, _, _ := j.log.snapshot(0)
+	recs, _, _, _ := j.log.snapshot(0)
 	var sb strings.Builder
 	for _, r := range recs {
 		sb.WriteString(r.Ev)

@@ -370,8 +370,7 @@ func (s *Server) onBrownout(on bool, at time.Time) {
 	}
 	s.mu.Unlock()
 	for _, j := range live {
-		j.log.append(eventRecord{
-			TMS:  float64(at.Sub(j.log.start)) / float64(time.Millisecond),
+		j.log.note(at, eventRecord{
 			Ev:   fmt.Sprintf("admission@%s", kind),
 			Kind: "admission", When: kind, Where: "admission",
 		})
@@ -455,9 +454,8 @@ func (s *Server) start(j *job) {
 				// know. Fall back to the paper rule visibly: log the
 				// fallback into the job's event stream and stop reporting
 				// the unhonoured name in job views.
-				j.log.append(eventRecord{
-					TMS: float64(s.clk.Now().Sub(j.log.start)) / float64(time.Millisecond),
-					Ev:  fmt.Sprintf("policy %q unknown to this binary: falling back to the paper rule", j.policy),
+				j.log.note(s.clk.Now(), eventRecord{
+					Ev: fmt.Sprintf("policy %q unknown to this binary: falling back to the paper rule", j.policy),
 				})
 				j.policy = ""
 			}
